@@ -14,9 +14,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: staticcheck when available (CI installs it), vet-only
-# otherwise so the target works in hermetic environments.
+# Static analysis: gofmt cleanliness, then staticcheck when available (CI
+# installs it), vet-only otherwise so the target works in hermetic
+# environments.
 lint: vet
+	test -z "$$(gofmt -l .)"
 	@if command -v $(STATICCHECK) >/dev/null 2>&1; then \
 		$(STATICCHECK) ./...; \
 	else \
@@ -89,18 +91,24 @@ bench-core:
 # Meta-benchmark: capture simulator + service throughput into
 # BENCH_$(PERF_LABEL).json (schema specmpk-bench/1). PERF_FLAGS defaults to a
 # time-boxed smoke sized for CI; override with PERF_FLAGS= for the full
-# default budgets when refreshing BENCH_baseline.json.
+# default budgets when refreshing BENCH_baseline.json. GOMAXPROCS is pinned
+# to 1, as in every committed capture: perfdiff refuses captures whose
+# GOMAXPROCS differ.
 PERF_LABEL ?= local
 PERF_THRESHOLD ?= 50
 PERF_FLAGS ?= -perf-budget 200000 -perf-jobs 8 -perf-job-cycles 50000
 perf:
-	$(GO) run ./cmd/specmpk-bench -label $(PERF_LABEL) $(PERF_FLAGS) perf
+	GOMAXPROCS=1 $(GO) run ./cmd/specmpk-bench -label $(PERF_LABEL) $(PERF_FLAGS) perf
 
-# Diff the latest capture against the committed baseline; exits non-zero when
-# any metric regressed beyond PERF_THRESHOLD percent.
+# Diff the latest capture against PERF_BASE; exits non-zero when any metric
+# regressed beyond PERF_THRESHOLD percent, or when the two captures differ
+# in simulator version, cycle budget, service job count or GOMAXPROCS.
+# BENCH_baseline.json predates specmpk-sim/2; BENCH_sim2.json is the
+# reference for captures of the current simulator at the PERF_FLAGS knobs.
+PERF_BASE ?= BENCH_baseline.json
 perf-diff:
 	$(GO) run ./cmd/specmpk-bench -threshold $(PERF_THRESHOLD) \
-		perfdiff BENCH_baseline.json BENCH_$(PERF_LABEL).json
+		perfdiff $(PERF_BASE) BENCH_$(PERF_LABEL).json
 
 # Short fuzz pass over the assembler's parser (the repo's untrusted-input
 # surface); CI runs it on every push.

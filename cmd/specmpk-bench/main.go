@@ -17,7 +17,7 @@
 //
 // perf captures simulator and service throughput into BENCH_<label>.json;
 // perfdiff compares two captures and exits non-zero when any metric regressed
-// beyond the threshold.
+// beyond the threshold, or when the captures were taken under different knobs.
 //
 // With -remote, pipeline simulations are batch-submitted as jobs to a
 // specmpkd daemon instead of running in-process; the daemon's
@@ -204,7 +204,8 @@ func runPerf(r experiments.Runner, cfg perfConfig) error {
 }
 
 // runPerfDiff compares two BENCH captures and returns a non-zero exit code
-// when any metric regressed beyond the threshold — the CI gate.
+// when any metric regressed beyond the threshold — the CI gate — or when the
+// captures are not comparable.
 func runPerfDiff(args []string, thresholdPct float64) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: specmpk-bench perfdiff [-threshold PCT] OLD.json NEW.json")
@@ -220,7 +221,11 @@ func runPerfDiff(args []string, thresholdPct float64) int {
 		fmt.Fprintf(os.Stderr, "specmpk-bench: perfdiff: %v\n", err)
 		return 2
 	}
-	d := perf.Compare(before, after, thresholdPct)
+	d, err := perf.Compare(before, after, thresholdPct)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "specmpk-bench: perfdiff: refusing %s vs %s: %v\n", args[0], args[1], err)
+		return 2
+	}
 	d.Render(os.Stdout)
 	if len(d.Regressions()) > 0 {
 		return 1

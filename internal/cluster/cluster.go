@@ -150,10 +150,10 @@ func (p *peer) isDown() bool { return p.state.Load() == peerDown }
 // concurrent use; create with New, optionally Start the background prober,
 // Close when done.
 type Coordinator struct {
-	opt   Options
-	ring  *Ring
-	self  string
-	peers []*peer // ring order of Nodes(), self excluded
+	opt    Options
+	ring   *Ring
+	self   string
+	peers  []*peer // ring order of Nodes(), self excluded
 	byName map[string]*peer
 	rec    *otrace.Recorder
 	logger *slog.Logger

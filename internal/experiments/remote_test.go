@@ -52,6 +52,29 @@ func TestRemoteSimRetriesTransientFailures(t *testing.T) {
 	}
 }
 
+// TestRemoteSimOneRetryBudgetPerJob: a daemon that sheds every request
+// costs one job exactly MaxAttempts submits — the client's one budget, with
+// no outer retry loop multiplying it.
+func TestRemoteSimOneRetryBudgetPerJob(t *testing.T) {
+	const n = 3
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"error":"queue full"}`)
+	}))
+	defer ts.Close()
+
+	c := client.New(ts.URL)
+	c.Retry = client.RetryPolicy{MaxAttempts: n, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	if _, err := RemoteSim(c)(workload.Profile{Name: "w"}, workload.VariantFull, pipeline.DefaultConfig()); err == nil {
+		t.Fatal("job against an always-503 daemon succeeded")
+	}
+	if got := calls.Load(); got != n {
+		t.Fatalf("daemon saw %d submits for one job, want %d (one retry budget)", got, n)
+	}
+}
+
 // TestRemoteSimDoesNotRetryTerminalFailures: a failed job (bad spec, panic,
 // deadline) is deterministic — re-running reproduces it, so RemoteSim must
 // surface it after one attempt.

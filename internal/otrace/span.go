@@ -17,12 +17,12 @@ type SpanEvent struct {
 // by the exporters. IDs are hex strings so a dump is directly greppable
 // against log lines and traceparent headers.
 type SpanData struct {
-	TraceID  string         `json:"traceID"`
-	SpanID   string         `json:"spanID"`
-	ParentID string         `json:"parentID,omitempty"`
-	Name     string         `json:"name"`
-	Start    time.Time      `json:"start"`
-	End      time.Time      `json:"end"`
+	TraceID  string    `json:"traceID"`
+	SpanID   string    `json:"spanID"`
+	ParentID string    `json:"parentID,omitempty"`
+	Name     string    `json:"name"`
+	Start    time.Time `json:"start"`
+	End      time.Time `json:"end"`
 	// DurMS is End-Start in milliseconds — the same float64 the matching
 	// server.latency.* histogram observes, where one exists.
 	DurMS  float64        `json:"durMS"`

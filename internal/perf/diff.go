@@ -30,11 +30,33 @@ type Diff struct {
 	ThresholdPct float64
 	// Rows covers every metric present in both captures, sorted by name.
 	Rows []DiffRow
-	// MissingInNew / MissingInOld list metrics only one capture has (a
-	// changed workload set, a renamed metric). Not regressions, but printed
-	// so a silently shrunk capture can't masquerade as a clean diff.
+	// MissingInNew lists metrics only the old capture has (a changed
+	// workload set, a renamed metric); NewOnly holds the metrics only the
+	// new capture has, with their values. Not regressions, but printed so a
+	// silently shrunk capture can't masquerade as a clean diff.
 	MissingInNew []string
-	MissingInOld []string
+	NewOnly      []DiffRow
+}
+
+// checkComparable refuses two captures taken under different knobs: a
+// different simulator version, cycle budget, service job count or
+// GOMAXPROCS makes them different experiments, so their deltas would
+// measure the knobs, not the code.
+func checkComparable(old, cur Meta) error {
+	var mm []string
+	check := func(knob string, a, b any) {
+		if a != b {
+			mm = append(mm, fmt.Sprintf("%s %v vs %v", knob, a, b))
+		}
+	}
+	check("simVersion", old.SimVersion, cur.SimVersion)
+	check("cycleBudget", old.CycleBudget, cur.CycleBudget)
+	check("serviceJobs", old.ServiceJobs, cur.ServiceJobs)
+	check("gomaxprocs", old.GOMAXPROCS, cur.GOMAXPROCS)
+	if mm != nil {
+		return fmt.Errorf("captures are not comparable: %s", strings.Join(mm, "; "))
+	}
+	return nil
 }
 
 // LowerIsBetter classifies a metric's direction from its name: allocation
@@ -47,8 +69,12 @@ func LowerIsBetter(metric string) bool {
 // Compare diffs two captures metric-by-metric. A metric regresses when it
 // moves in its worse direction by strictly more than thresholdPct percent.
 // Metrics at old == 0 are incomparable (no relative delta) and never
-// regress; they still appear in Rows with DeltaPct 0.
-func Compare(before, after *Bench, thresholdPct float64) *Diff {
+// regress; they still appear in Rows with DeltaPct 0. Captures taken under
+// different knobs are refused with an error naming each differing knob.
+func Compare(before, after *Bench, thresholdPct float64) (*Diff, error) {
+	if err := checkComparable(before.Meta, after.Meta); err != nil {
+		return nil, err
+	}
 	d := &Diff{Old: before.Meta, New: after.Meta, ThresholdPct: thresholdPct}
 	for _, name := range before.MetricNames() {
 		ov := before.Metrics[name]
@@ -72,12 +98,11 @@ func Compare(before, after *Bench, thresholdPct float64) *Diff {
 	}
 	for _, name := range after.MetricNames() {
 		if _, ok := before.Metrics[name]; !ok {
-			d.MissingInOld = append(d.MissingInOld, name)
+			d.NewOnly = append(d.NewOnly, DiffRow{Metric: name, New: after.Metrics[name]})
 		}
 	}
 	sort.Strings(d.MissingInNew)
-	sort.Strings(d.MissingInOld)
-	return d
+	return d, nil
 }
 
 // Regressions returns the regressed rows.
@@ -96,11 +121,15 @@ func (d *Diff) Regressions() []DiffRow {
 func (d *Diff) Render(w io.Writer) {
 	fmt.Fprintf(w, "perfdiff: %s (%s) -> %s (%s), threshold %.1f%%\n",
 		d.Old.Label, short(d.Old.GitSHA), d.New.Label, short(d.New.GitSHA), d.ThresholdPct)
-	if d.Old.GoVersion != d.New.GoVersion || d.Old.GOMAXPROCS != d.New.GOMAXPROCS {
-		fmt.Fprintf(w, "note: environments differ (%s/%d procs vs %s/%d procs) — deltas include the environment\n",
-			d.Old.GoVersion, d.Old.GOMAXPROCS, d.New.GoVersion, d.New.GOMAXPROCS)
+	if d.Old.GoVersion != d.New.GoVersion {
+		fmt.Fprintf(w, "note: Go toolchains differ (%s vs %s) — deltas include the compiler\n",
+			d.Old.GoVersion, d.New.GoVersion)
 	}
-	if d.Old.CPUModel != "" && d.New.CPUModel != "" && d.Old.CPUModel != d.New.CPUModel {
+	switch {
+	case d.Old.CPUModel == "" || d.New.CPUModel == "":
+		fmt.Fprintf(w, "note: unknown host — a capture has no CPU model (%q vs %q), so same hardware is unrecorded\n",
+			d.Old.CPUModel, d.New.CPUModel)
+	case d.Old.CPUModel != d.New.CPUModel:
 		fmt.Fprintf(w, "note: captures ran on different CPUs (%q vs %q) — deltas include the hardware\n",
 			d.Old.CPUModel, d.New.CPUModel)
 	}
@@ -124,8 +153,8 @@ func (d *Diff) Render(w io.Writer) {
 	for _, name := range d.MissingInNew {
 		fmt.Fprintf(w, "%-*s %14s %14s %9s  MISSING in new capture\n", nameW, name, "-", "-", "")
 	}
-	for _, name := range d.MissingInOld {
-		fmt.Fprintf(w, "%-*s %14s %14s %9s  new metric\n", nameW, name, "-", "-", "")
+	for _, r := range d.NewOnly {
+		fmt.Fprintf(w, "%-*s %14s %14.4g %9s  new metric\n", nameW, r.Metric, "-", r.New, "")
 	}
 	if reg := d.Regressions(); len(reg) > 0 {
 		fmt.Fprintf(w, "FAIL: %d metric(s) regressed beyond %.1f%%\n", len(reg), d.ThresholdPct)

@@ -299,10 +299,10 @@ type TraceRecord struct {
 
 // alEntry is one in-flight instruction.
 type alEntry struct {
-	seq  uint64
-	pc   uint64
-	in   isa.Inst
-	st   alState
+	seq uint64
+	pc  uint64
+	in  isa.Inst
+	st  alState
 	// alIdx is the entry's own active-list slot (set once at rename), so
 	// code holding only the entry pointer can maintain the issue bitmap.
 	alIdx int32
@@ -380,12 +380,7 @@ type Machine struct {
 
 	// policy is the WRPKRU microarchitecture Cfg.Mode resolved to; every
 	// mode-specific decision in the stage functions goes through it.
-	// polKind caches which built-in implementation policy is, so the stage
-	// functions can dispatch the per-cycle hooks statically (dispatch.go)
-	// instead of through the interface; polGeneric keeps the registry seam
-	// for out-of-tree policies.
-	policy  PKRUPolicy
-	polKind polKind
+	policy PKRUPolicy
 
 	Stats Stats
 
@@ -590,7 +585,6 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 	m := &Machine{
 		Cfg:       cfg,
 		policy:    pol,
-		polKind:   specializePolicy(pol),
 		Prog:      prog,
 		AS:        as,
 		Hier:      cache.NewHierarchy(cfg.Caches),

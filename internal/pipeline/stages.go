@@ -190,7 +190,7 @@ func (m *Machine) renameStage() {
 			break
 		}
 		// WRPKRU / RDPKRU serialization per microarchitecture.
-		if r := m.polRenameGate(in); r != stallNone {
+		if r := m.policy.RenameGate(m, in); r != stallNone {
 			reason = r
 			break
 		}
@@ -243,7 +243,7 @@ func (m *Machine) renameStage() {
 			e.physRs2 = m.rmt[in.Rs2]
 		}
 		// PKRU renaming / serialization bookkeeping.
-		m.polDispatchWrpkru(e)
+		m.policy.DispatchWrpkru(m, e)
 		if writes {
 			p := m.freeList[len(m.freeList)-1]
 			m.freeList = m.freeList[:len(m.freeList)-1]
@@ -558,7 +558,7 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 
 	pte, hit := m.DTLB.Lookup(vpn)
 	if !hit {
-		if m.polTLBUpdateTiming(e) == TLBDeferToRetire {
+		if m.policy.TLBUpdateTiming(m, e) == TLBDeferToRetire {
 			// The pKey of an uncached page is unknown, so the access
 			// conservatively stalls and re-executes at the AL head.
 			e.stallTillHead = true
@@ -588,7 +588,7 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 	}
 	e.pkey = int(pte.PKey)
 
-	switch m.polLoadIssueGate(e, idx) {
+	switch m.policy.LoadIssueGate(m, e, idx) {
 	case GateStallTillHead:
 		// PKRU Load Check failed: stall until non-squashable, leaving
 		// no cache or TLB footprint.
@@ -616,7 +616,7 @@ func (m *Machine) loadExecute(e *alEntry, idx int, rs1 uint64) {
 			if !overlaps(s.vaddr, s.memBytes, e.vaddr, e.memBytes) {
 				continue
 			}
-			if !m.polAllowStoreForward(s) {
+			if !m.policy.AllowStoreForward(m, s) {
 				// Forwarding suppressed; the load waits for the head
 				// (by which time the store has committed to memory).
 				e.stallTillHead = true
@@ -718,7 +718,7 @@ func (m *Machine) storeExecute(e *alEntry, rs1, rs2 uint64) {
 
 	pte, hit := m.DTLB.Lookup(vpn)
 	if !hit {
-		switch m.polTLBUpdateTiming(e) {
+		switch m.policy.TLBUpdateTiming(m, e) {
 		case TLBWalkNow:
 			lat += m.DTLB.WalkLatency()
 			paddr, pte2, err := m.AS.Translate(e.vaddr, mem.Write)
@@ -760,7 +760,7 @@ func (m *Machine) storeExecute(e *alEntry, rs1, rs2 uint64) {
 		if !pte.AllowsProt(mem.Write) {
 			e.fault = &mem.Fault{Kind: mem.FaultProt, Addr: e.vaddr, Access: mem.Write}
 		} else {
-			switch m.polStoreIssueGate(e) {
+			switch m.policy.StoreIssueGate(m, e) {
 			case GateNoForward:
 				// Store Check failed: no forwarding; precise permission
 				// re-verification happens at retirement (commitStore).
@@ -827,7 +827,7 @@ func (m *Machine) completeStage() {
 			// Open the audit ledger's transient-upgrade windows against the
 			// still-committed ARF before the policy delivers the value.
 			m.auditUpgradeOpen(e)
-			m.polWrpkruExecute(e)
+			m.policy.WrpkruExecute(m, e)
 		case e.in.Op.IsControl():
 			if m.resolveControl(e, i) {
 				// Squashed everything younger; stop scanning. squashAfter
@@ -917,7 +917,7 @@ func (m *Machine) squashAfter(idx int, why string) {
 		if e.isStore {
 			m.sqCnt--
 		}
-		m.polOnSquashEntry(e)
+		m.policy.OnSquashEntry(m, e)
 		m.Stats.Squashed++
 	}
 	m.alCnt = idx + 1

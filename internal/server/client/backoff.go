@@ -9,8 +9,9 @@ import (
 )
 
 // RetryPolicy shapes the client's resilience layer: how many times a
-// logical call is attempted and how the delays between attempts grow. The
-// zero value means the defaults — callers only set fields they care about.
+// logical operation is attempted and how the delays between attempts grow.
+// The zero value means the defaults — callers only set fields they care
+// about.
 //
 // Retries are safe across the whole API because every operation is
 // idempotent by construction: Submit is content-addressed (resubmitting a
@@ -18,7 +19,11 @@ import (
 // deterministic run), Job/Events are reads, and Cancel of a terminal job is
 // a no-op.
 type RetryPolicy struct {
-	// MaxAttempts bounds tries per call, first attempt included (0 = 6).
+	// MaxAttempts bounds the attempts of one logical operation between two
+	// points of forward progress, first attempt included (0 = 6). A Submit,
+	// Job, Cancel, Events or Wait call is one operation; so is a whole Run,
+	// whose submit retries, status retries, stream reconnects and
+	// post-restart resubmissions all draw from the same budget.
 	MaxAttempts int
 	// BaseDelay is the first backoff step (0 = 100ms).
 	BaseDelay time.Duration
@@ -123,4 +128,53 @@ func (b *backoff) sleep(ctx context.Context, explicit time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
+}
+
+// budget is one logical operation's retry allowance: a single backoff
+// schedule and failure count shared by every request the operation makes.
+// Forward progress (a delivered event) resets it, so a long job survives
+// any number of isolated stream drops, while an operation that keeps
+// failing gives up after RetryPolicy.MaxAttempts failed attempts.
+type budget struct {
+	addr  string
+	bo    *backoff
+	max   int
+	fails int
+	// connOnly records that every failure since the last progress was
+	// connection-level — the peer-down verdict an exhausted budget carries.
+	connOnly bool
+}
+
+func (c *Client) newBudget() *budget {
+	return &budget{addr: c.base, bo: newBackoff(c.Retry), max: c.Retry.attempts(), connOnly: true}
+}
+
+// fail records a failed attempt (conn: it got no HTTP response at all). If
+// the budget allows another attempt it sleeps out the backoff — or the
+// server's retryAfter, when positive — and returns nil. Otherwise it returns
+// the error to surface: a PeerDownError when every failure since the last
+// progress was connection-level, else err.
+func (b *budget) fail(ctx context.Context, err error, conn bool, retryAfter time.Duration) error {
+	b.fails++
+	b.connOnly = b.connOnly && conn
+	if b.fails >= b.max {
+		if b.connOnly {
+			return &PeerDownError{Addr: b.addr, Attempts: b.fails, Err: err}
+		}
+		return err
+	}
+	if b.bo.sleep(ctx, retryAfter) != nil {
+		return err
+	}
+	return nil
+}
+
+// spent reports whether the budget has no attempts left.
+func (b *budget) spent() bool { return b.fails >= b.max }
+
+// progress resets the budget after forward progress.
+func (b *budget) progress() {
+	b.fails = 0
+	b.connOnly = true
+	b.bo.reset()
 }

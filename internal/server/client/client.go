@@ -172,14 +172,6 @@ func IsUnknownJob(err error) bool {
 	return errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound
 }
 
-// IsTransient reports whether err is a failure the retry layer classifies
-// as retryable — a transport error or an overload response. Batch callers
-// use it to retry one job without abandoning the sweep.
-func IsTransient(err error) bool {
-	_, ok := transient(err)
-	return ok
-}
-
 // transient classifies err for the retry layer: true for failures where a
 // later identical attempt can succeed — transport errors (daemon
 // restarting, connection reset) and 502/503/504 responses — along with any
@@ -271,34 +263,26 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 }
 
 // doRetry is do wrapped in the resilience layer: transient failures are
-// retried up to the policy's attempt budget with backoff (or the server's
-// Retry-After), permanent ones return immediately. When every attempt failed
-// at the connection level the exhausted budget surfaces as a typed
-// PeerDownError, so callers (the cluster coordinator above all) can fail
-// over to another peer instead of retrying a dead address.
-func (c *Client) doRetry(ctx context.Context, method, path string, body, out any) error {
-	bo := newBackoff(c.Retry)
-	attempts := c.Retry.attempts()
-	var err error
-	allConn := true
-	for i := 0; i < attempts; i++ {
-		if err = c.do(ctx, method, path, body, out); err == nil {
+// retried against b with backoff (or the server's Retry-After), permanent
+// ones return immediately. When every attempt failed at the connection level
+// the exhausted budget surfaces as a typed PeerDownError, so callers (the
+// cluster coordinator above all) can fail over to another peer instead of
+// retrying a dead address.
+func (c *Client) doRetry(ctx context.Context, b *budget, method, path string, body, out any) error {
+	for {
+		err := c.do(ctx, method, path, body, out)
+		if err == nil {
 			return nil
 		}
-		allConn = allConn && isConnFailure(err)
 		ra, ok := transient(err)
-		if !ok || i == attempts-1 {
-			break
+		if !ok {
+			return err
+		}
+		if err := b.fail(ctx, err, isConnFailure(err), ra); err != nil {
+			return err
 		}
 		c.retries.Add(1)
-		if serr := bo.sleep(ctx, ra); serr != nil {
-			break
-		}
 	}
-	if allConn && err != nil {
-		return &PeerDownError{Addr: c.base, Attempts: attempts, Err: err}
-	}
-	return err
 }
 
 func decodeErr(resp *http.Response) error {
@@ -327,25 +311,33 @@ func decodeErr(resp *http.Response) error {
 // logical submission lands in the same trace and the daemon's flight
 // recorder can be queried by the returned JobInfo.TraceID.
 func (c *Client) Submit(ctx context.Context, spec api.JobSpec) (api.JobInfo, error) {
+	return c.submit(ctx, c.newBudget(), spec)
+}
+
+func (c *Client) submit(ctx context.Context, b *budget, spec api.JobSpec) (api.JobInfo, error) {
 	if !otrace.FromContext(ctx).Valid() {
 		ctx = otrace.ContextWith(ctx, otrace.NewRoot())
 	}
 	var info api.JobInfo
-	err := c.doRetry(ctx, http.MethodPost, "/v1/jobs", spec, &info)
+	err := c.doRetry(ctx, b, http.MethodPost, "/v1/jobs", spec, &info)
 	return info, err
 }
 
 // Job fetches a job's current status.
 func (c *Client) Job(ctx context.Context, id string) (api.JobInfo, error) {
+	return c.job(ctx, c.newBudget(), id)
+}
+
+func (c *Client) job(ctx context.Context, b *budget, id string) (api.JobInfo, error) {
 	var info api.JobInfo
-	err := c.doRetry(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &info)
+	err := c.doRetry(ctx, b, http.MethodGet, "/v1/jobs/"+id, nil, &info)
 	return info, err
 }
 
 // Cancel requests cancellation and returns the job's status.
 func (c *Client) Cancel(ctx context.Context, id string) (api.JobInfo, error) {
 	var info api.JobInfo
-	err := c.doRetry(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &info)
+	err := c.doRetry(ctx, c.newBudget(), http.MethodDelete, "/v1/jobs/"+id, nil, &info)
 	return info, err
 }
 
@@ -364,20 +356,22 @@ const maxEventLine = 8 << 20
 // before subscribing and its buffer was replayed, or the subscription was
 // detached server-side) — callers confirm terminal state via Job.
 //
-// A peer that refuses every connection is a special case: progress resets
-// the failure budget (deliberately — a long job must survive many isolated
-// stream drops), but connection-level failures are counted on their own,
-// unreset by replayed events, so a dead peer surfaces as a typed
+// New events reset the retry budget (deliberately — a long job must survive
+// many isolated stream drops); a replayed buffer with nothing new does not.
+// A peer that refuses every reconnection therefore surfaces as a typed
 // PeerDownError once the policy's attempts are exhausted instead of the
 // reconnection loop spinning against it forever.
 func (c *Client) Events(ctx context.Context, id string, fn func(api.Event) error) error {
-	bo := newBackoff(c.Retry)
-	attempts := c.Retry.attempts()
+	return c.events(ctx, c.newBudget(), id, fn)
+}
+
+func (c *Client) events(ctx context.Context, b *budget, id string, fn func(api.Event) error) error {
 	var lastSeq uint64
-	failures := 0
-	connFails := 0
 	for {
 		progressed, err := c.streamEvents(ctx, id, &lastSeq, fn)
+		if progressed {
+			b.progress()
+		}
 		if err == nil {
 			return nil // final event delivered or clean end of stream
 		}
@@ -388,30 +382,10 @@ func (c *Client) Events(ctx context.Context, id string, fn func(api.Event) error
 		if _, ok := transient(err); !ok {
 			return err
 		}
-		if progressed {
-			// Forward progress proves the peer is alive and serving; only a
-			// working connection resets the consecutive-connection-failure
-			// count, never a replayed buffer on a connection that then died.
-			failures = 0
-			connFails = 0
-			bo.reset()
-		}
-		failures++
-		if isConnFailure(err) {
-			connFails++
-			if connFails >= attempts {
-				return &PeerDownError{Addr: c.base, Attempts: connFails, Err: err}
-			}
-		} else {
-			connFails = 0
-		}
-		if failures >= attempts {
+		if err := b.fail(ctx, err, isConnFailure(err), 0); err != nil {
 			return err
 		}
 		c.reconnects.Add(1)
-		if serr := bo.sleep(ctx, 0); serr != nil {
-			return err
-		}
 	}
 }
 
@@ -469,82 +443,89 @@ func (c *Client) streamEvents(ctx context.Context, id string, lastSeq *uint64, f
 // Wait blocks until the job reaches a terminal state and returns its final
 // status. It rides the event stream (so waiting costs no polling) and falls
 // back to re-polling with capped exponential backoff plus jitter when the
-// stream drops or ends inconclusively.
+// stream drops or ends inconclusively. Status retries, stream reconnects and
+// inconclusive rounds share one retry budget, reset whenever new events
+// arrive.
 func (c *Client) Wait(ctx context.Context, id string) (api.JobInfo, error) {
-	bo := newBackoff(c.Retry)
+	return c.wait(ctx, c.newBudget(), id)
+}
+
+func (c *Client) wait(ctx context.Context, b *budget, id string) (api.JobInfo, error) {
+	var inconclusive error
 	for {
-		info, err := c.Job(ctx, id)
+		info, err := c.job(ctx, b, id)
 		if err != nil {
 			return api.JobInfo{}, err
 		}
 		if api.Terminal(info.State) {
 			return info, nil
 		}
+		if inconclusive != nil {
+			// The last stream ended without a final event and the job is
+			// still live. The daemon answered, so this is no peer-down
+			// evidence: back off, then stream again.
+			if err := b.fail(ctx, inconclusive, false, 0); err != nil {
+				return api.JobInfo{}, err
+			}
+		}
 		// Block on the event stream (reconnecting internally) until it
 		// closes, then re-check; a terminal state returns without sleeping.
-		streamErr := c.Events(ctx, id, func(api.Event) error { return nil })
+		inconclusive = c.events(ctx, b, id, func(api.Event) error { return nil })
 		if ctx.Err() != nil {
 			return api.JobInfo{}, ctx.Err()
 		}
-		if info, err := c.Job(ctx, id); err == nil && api.Terminal(info.State) {
-			return info, nil
-		} else if err != nil {
-			return api.JobInfo{}, err
+		if inconclusive != nil && b.spent() {
+			return api.JobInfo{}, inconclusive
 		}
-		_ = streamErr // inconclusive stream: poll again, backed off
-		if err := bo.sleep(ctx, 0); err != nil {
-			return api.JobInfo{}, err
+		if inconclusive == nil {
+			inconclusive = fmt.Errorf("specmpkd: job %s: event stream ended without a final event", id)
 		}
 	}
 }
-
-// resubmitAttempts bounds how many times Run re-runs the submit+wait cycle
-// when the daemon disowns a job id mid-wait (it restarted and lost its
-// in-memory state). Each pass already carries the full retry budget.
-const resubmitAttempts = 3
 
 // Run submits the spec and waits for the result — the one-call path the
 // remote experiment runner uses. The returned JobInfo reports whether the
 // result came from the cache. If the daemon restarts mid-job and no longer
 // knows the job id, Run resubmits the spec: the content-addressed key
 // guarantees the resubmission asks for exactly the same simulation.
+//
+// The whole job runs on one retry budget (RetryPolicy.MaxAttempts): every
+// submit retry, status retry, failed stream reconnect and resubmission draws
+// from it, and only new events refill it. A daemon that answers 503 forever
+// therefore costs at most MaxAttempts submits per job.
 func (c *Client) Run(ctx context.Context, spec api.JobSpec) (api.Result, api.JobInfo, error) {
-	var lastErr error
-	for attempt := 0; attempt < resubmitAttempts; attempt++ {
-		sctx := ctx
-		if attempt > 0 {
-			// Recovery pass: mark the submit so the daemon's
-			// server.jobs.resubmitted counter records that this job came back
-			// via content-addressed resubmission after a restart.
-			sctx = WithResubmit(ctx)
-			c.resubmits.Add(1)
-		}
-		info, err := c.Submit(sctx, spec)
+	b := c.newBudget()
+	sctx := ctx
+	for {
+		info, err := c.submit(sctx, b, spec)
 		if err != nil {
 			return api.Result{}, api.JobInfo{}, err
 		}
 		if !api.Terminal(info.State) {
-			if info, err = c.Wait(ctx, info.ID); err != nil {
-				if IsUnknownJob(err) && ctx.Err() == nil {
-					lastErr = err
-					continue
+			if info, err = c.wait(ctx, b, info.ID); err != nil {
+				if !IsUnknownJob(err) || ctx.Err() != nil {
+					return api.Result{}, info, err
 				}
-				return api.Result{}, info, err
+				if err := b.fail(ctx, err, false, 0); err != nil {
+					return api.Result{}, api.JobInfo{}, fmt.Errorf("specmpkd: job lost across daemon restarts: %w", err)
+				}
+				// Recovery pass: mark the submit so the daemon's
+				// server.jobs.resubmitted counter records that this job came
+				// back via content-addressed resubmission after a restart.
+				sctx = WithResubmit(ctx)
+				c.resubmits.Add(1)
+				continue
 			}
 		}
-		switch info.State {
-		case api.StateDone:
-			var res api.Result
-			if err := json.Unmarshal(info.Result, &res); err != nil {
-				return api.Result{}, info, fmt.Errorf("specmpkd: bad result payload: %w", err)
-			}
-			return res, info, nil
-		default:
+		if info.State != api.StateDone {
 			return api.Result{}, info, &JobError{Info: info}
 		}
+		var res api.Result
+		if err := json.Unmarshal(info.Result, &res); err != nil {
+			return api.Result{}, info, fmt.Errorf("specmpkd: bad result payload: %w", err)
+		}
+		return res, info, nil
 	}
-	return api.Result{}, api.JobInfo{}, fmt.Errorf("specmpkd: job lost %d times across daemon restarts: %w",
-		resubmitAttempts, lastErr)
 }
 
 // Metrics fetches the Prometheus exposition text.

@@ -169,7 +169,7 @@ func TestPermanentErrorsAreNotRetried(t *testing.T) {
 	c.Retry = fastRetry
 	if _, err := c.Submit(context.Background(), api.JobSpec{}); err == nil {
 		t.Fatal("bad spec succeeded")
-	} else if IsTransient(err) {
+	} else if _, ok := transient(err); ok {
 		t.Fatalf("400 classified transient: %v", err)
 	}
 	if got := calls.Load(); got != 1 {
@@ -177,7 +177,7 @@ func TestPermanentErrorsAreNotRetried(t *testing.T) {
 	}
 }
 
-// TestTransientClassification pins the taxonomy the retry layers share.
+// TestTransientClassification pins the retry layer's taxonomy.
 func TestTransientClassification(t *testing.T) {
 	cases := []struct {
 		err  error
@@ -198,8 +198,8 @@ func TestTransientClassification(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", &JobError{Info: api.JobInfo{State: api.StateCancelled}}), false},
 	}
 	for _, tc := range cases {
-		if got := IsTransient(tc.err); got != tc.want {
-			t.Errorf("IsTransient(%v) = %v, want %v", tc.err, got, tc.want)
+		if _, got := transient(tc.err); got != tc.want {
+			t.Errorf("transient(%v) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
 }
@@ -252,7 +252,8 @@ func TestRunResubmitsAfterDaemonRestart(t *testing.T) {
 }
 
 // TestRunGivesUpWhenJobKeepsVanishing: if every resubmission's id is
-// disowned too, Run fails with the job-lost error instead of looping.
+// disowned too, Run fails with the job-lost error once the job's one retry
+// budget is spent, instead of looping.
 func TestRunGivesUpWhenJobKeepsVanishing(t *testing.T) {
 	var submits atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -273,8 +274,8 @@ func TestRunGivesUpWhenJobKeepsVanishing(t *testing.T) {
 	if err == nil || !IsUnknownJob(err) {
 		t.Fatalf("err = %v, want wrapped unknown-job failure", err)
 	}
-	if got := submits.Load(); got != resubmitAttempts {
-		t.Fatalf("daemon saw %d submits, want %d", got, resubmitAttempts)
+	if got := submits.Load(); got != int32(fastRetry.MaxAttempts) {
+		t.Fatalf("daemon saw %d submits, want %d", got, fastRetry.MaxAttempts)
 	}
 }
 
@@ -376,5 +377,159 @@ func TestWaitRecoversWhenStreamsEndInconclusively(t *testing.T) {
 	}
 	if info.State != api.StateDone {
 		t.Fatalf("state %s", info.State)
+	}
+}
+
+// countingTransport counts every HTTP attempt the client makes, by method,
+// including the ones that never reach a server.
+type countingTransport struct {
+	posts, others atomic.Int32
+}
+
+func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodPost {
+		ct.posts.Add(1)
+	} else {
+		ct.others.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRunRetryBudgetBoundsAttemptsPerJob: one Run is one job with one retry
+// budget of MaxAttempts, whatever fails. A daemon that always sheds load, one
+// that refuses connections, and one that forgets every job id each cost at
+// most MaxAttempts submits.
+func TestRunRetryBudgetBoundsAttemptsPerJob(t *testing.T) {
+	const n = 4
+	policy := RetryPolicy{MaxAttempts: n, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	var jobs atomic.Int32
+	cases := []struct {
+		name    string
+		handler http.HandlerFunc // nil: nothing listens
+		check   func(t *testing.T, err error)
+		others  int32 // non-submit requests the job may make
+	}{
+		{
+			name: "always-503",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprint(w, `{"error":"queue full"}`)
+			},
+			check: func(t *testing.T, err error) {
+				var ae *APIError
+				if !errors.As(err, &ae) || !ae.Unavailable() || IsPeerDown(err) {
+					t.Fatalf("err = %v, want the 503 APIError", err)
+				}
+			},
+		},
+		{
+			name: "refused",
+			check: func(t *testing.T, err error) {
+				var pd *PeerDownError
+				if !errors.As(err, &pd) || pd.Attempts != n {
+					t.Fatalf("err = %v, want a PeerDownError after %d attempts", err, n)
+				}
+			},
+		},
+		{
+			name: "forgets-job-ids",
+			handler: func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost {
+					w.WriteHeader(http.StatusAccepted)
+					json.NewEncoder(w).Encode(api.JobInfo{ID: fmt.Sprintf("j-%d", jobs.Add(1)), State: api.StateQueued})
+					return
+				}
+				w.WriteHeader(http.StatusNotFound)
+				fmt.Fprint(w, `{"error":"unknown job"}`)
+			},
+			check: func(t *testing.T, err error) {
+				if !IsUnknownJob(err) {
+					t.Fatalf("err = %v, want the wrapped unknown-job failure", err)
+				}
+			},
+			others: n, // one status read per submit
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := deadAddr(t)
+			var served atomic.Int32
+			if tc.handler != nil {
+				ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					served.Add(1)
+					tc.handler(w, r)
+				}))
+				defer ts.Close()
+				addr = ts.URL
+			}
+			ct := &countingTransport{}
+			c := New(addr)
+			c.hc = &http.Client{Transport: ct}
+			c.Retry = policy
+			_, _, err := c.Run(context.Background(), api.JobSpec{Asm: haltAsm})
+			tc.check(t, err)
+			if got := ct.posts.Load(); got > n {
+				t.Fatalf("%d submit attempts for one job, budget is %d", got, n)
+			}
+			if got := ct.others.Load(); got > tc.others {
+				t.Fatalf("%d non-submit requests for one job, want <= %d", got, tc.others)
+			}
+			if tc.handler != nil && served.Load() != ct.posts.Load()+ct.others.Load() {
+				t.Fatalf("handler served %d requests, client sent %d", served.Load(), ct.posts.Load()+ct.others.Load())
+			}
+		})
+	}
+}
+
+// TestRunProgressRefillsBudget: stream drops that follow new events do not
+// exhaust the budget — a long job survives more isolated drops than
+// MaxAttempts, each preceded by progress.
+func TestRunProgressRefillsBudget(t *testing.T) {
+	const n, drops = 2, 6
+	result, err := json.Marshal(api.Result{Key: "k", StopReason: "halt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns, polls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost:
+			w.WriteHeader(http.StatusAccepted)
+			json.NewEncoder(w).Encode(api.JobInfo{ID: "j-1", State: api.StateQueued})
+		case r.URL.Path == "/v1/jobs/j-1/events":
+			// Connection k delivers events 1..k, then dies; the last one
+			// also delivers the final event.
+			k := conns.Add(1)
+			enc := json.NewEncoder(w)
+			for seq := uint64(1); seq <= uint64(k); seq++ {
+				enc.Encode(api.Event{Seq: seq, Cycle: seq * 1000})
+			}
+			if k > drops {
+				enc.Encode(api.Event{Seq: uint64(k) + 1, State: api.StateDone, Final: true})
+				return
+			}
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		default:
+			info := api.JobInfo{ID: "j-1", State: api.StateRunning}
+			if polls.Add(1) > 1 {
+				info.State, info.Result = api.StateDone, result
+			}
+			json.NewEncoder(w).Encode(info)
+		}
+	}))
+	defer ts.Close()
+
+	c := New(ts.URL)
+	c.Retry = RetryPolicy{MaxAttempts: n, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	res, _, err := c.Run(context.Background(), api.JobSpec{Asm: haltAsm})
+	if err != nil {
+		t.Fatalf("job with %d progressing stream drops failed at MaxAttempts %d: %v", drops, n, err)
+	}
+	if res.StopReason != "halt" {
+		t.Fatalf("result %+v", res)
+	}
+	if got := c.Stats().Reconnects; got != drops {
+		t.Fatalf("Reconnects = %d, want %d", got, drops)
 	}
 }

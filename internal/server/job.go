@@ -61,7 +61,17 @@ type execution struct {
 	subs   map[chan api.Event]struct{}
 	seq    uint64
 
-	done chan struct{} // closed on the transition to a terminal state
+	// resolved is the terminal outcome claimed by resolve and not yet (or
+	// already) made visible by publish. Between the two the execution still
+	// reads as running, so the server can finish its bookkeeping first.
+	resolved *outcome
+}
+
+// outcome is an execution's terminal result.
+type outcome struct {
+	state, errMsg string
+	result        []byte
+	cycle, insts  uint64
 }
 
 // maxBufferedEvents bounds the replay buffer; older progress events are
@@ -79,7 +89,6 @@ func newExecution(parent context.Context, key string, spec api.JobSpec) *executi
 		queuedAt: time.Now(),
 		state:    api.StateQueued,
 		subs:     make(map[chan api.Event]struct{}),
-		done:     make(chan struct{}),
 	}
 }
 
@@ -93,7 +102,6 @@ func resolvedExecution(key string, spec api.JobSpec, result []byte) *execution {
 	ex.finished = time.Now()
 	ex.events = append(ex.events, api.Event{Seq: 1, State: api.StateDone, Final: true})
 	ex.seq = 1
-	close(ex.done)
 	return ex
 }
 
@@ -105,11 +113,11 @@ func (ex *execution) snapshot() (state, errMsg string, result []byte, started, f
 }
 
 // start transitions queued -> running and announces it on the event stream.
-// It returns false if the execution is already terminal (cancelled while
+// It returns false if the execution is already resolved (cancelled while
 // queued).
 func (ex *execution) start() bool {
 	ex.mu.Lock()
-	if api.Terminal(ex.state) {
+	if ex.resolved != nil || api.Terminal(ex.state) {
 		ex.mu.Unlock()
 		return false
 	}
@@ -127,32 +135,54 @@ func (ex *execution) progress(cycle, insts uint64, ipc float64) {
 	ex.mu.Unlock()
 }
 
-// finish transitions to a terminal state exactly once, publishes the final
-// event, closes every subscriber, and wakes waiters. It reports whether this
-// call performed the transition.
-func (ex *execution) finish(state, errMsg string, result []byte, cycle, insts uint64) bool {
+// resolve claims the terminal transition for o exactly once — the worker and
+// Cancel race for it — and reports whether this call won. The outcome stays
+// invisible until publish, so the winner records the job's spans, metrics
+// and cache fill before any waiter can observe the terminal state.
+func (ex *execution) resolve(o outcome) bool {
 	ex.mu.Lock()
-	if api.Terminal(ex.state) {
-		ex.mu.Unlock()
+	defer ex.mu.Unlock()
+	if ex.resolved != nil || api.Terminal(ex.state) {
 		return false
 	}
-	ex.state = state
-	ex.errMsg = errMsg
-	ex.result = result
+	ex.resolved = &o
+	return true
+}
+
+// terminal returns the resolved terminal state and error message.
+func (ex *execution) terminal() (state, errMsg string) {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if ex.resolved == nil {
+		return ex.state, ex.errMsg
+	}
+	return ex.resolved.state, ex.resolved.errMsg
+}
+
+// publish makes the resolved outcome visible: it sets the terminal state,
+// publishes the final event and closes every subscriber. Idempotent, so the
+// worker pool's panic path can call it whether or not publishing happened.
+func (ex *execution) publish() {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	o := ex.resolved
+	if o == nil || api.Terminal(ex.state) {
+		return
+	}
+	ex.state = o.state
+	ex.errMsg = o.errMsg
+	ex.result = o.result
 	ex.finished = time.Now()
-	ex.publishLocked(api.Event{State: state, Cycle: cycle, Insts: insts, Final: true})
+	ex.publishLocked(api.Event{State: o.state, Cycle: o.cycle, Insts: o.insts, Final: true})
 	for ch := range ex.subs {
 		close(ch)
 		delete(ex.subs, ch)
 	}
-	ex.mu.Unlock()
-	close(ex.done)
-	return true
 }
 
 // publishLocked appends to the replay buffer and fans out to subscribers.
 // A subscriber that cannot keep up loses intermediate progress events (its
-// channel send would block) — the final state always arrives because finish
+// channel send would block) — the final state always arrives because publish
 // closes the channel after the terminal event is buffered.
 func (ex *execution) publishLocked(ev api.Event) {
 	ex.seq++

@@ -25,22 +25,26 @@ func (s *Server) runExecutionContained(ex *execution) {
 			s.panicsRecovered.Add(1)
 			s.logger.Error("panic contained in worker pool",
 				"trace_id", ex.sc.Trace.String(), "key", ex.key, "panic", fmt.Sprint(r))
-			if ex.finish(api.StateFailed, fmt.Sprintf("panic: %v\n%s", r, debug.Stack()), nil, 0, 0) {
+			if ex.resolve(outcome{state: api.StateFailed, errMsg: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())}) {
 				s.jobsFailed.Add(1)
 			}
-			// Idempotent: releases the single-flight slot and retires the
-			// execution's jobs even when the panic struck after finish.
+			// Both idempotent: the single-flight slot is released, the
+			// execution's jobs retired and its outcome published even when
+			// the panic struck mid-bookkeeping, after resolve.
 			s.onExecutionDone(ex)
+			ex.publish()
 		}
 	}()
 	s.runExecution(ex)
 }
 
 // runExecution is one worker's handling of one execution: simulate in
-// event-interval chunks, publish progress, resolve the terminal state, and
-// do the server-side bookkeeping (metrics, cache fill, single-flight slot).
-// The queue.wait and simulate stage spans close here with exactly the
-// durations the matching server.latency.* histograms observe.
+// event-interval chunks, publish progress, resolve the terminal state, do
+// the server-side bookkeeping (metrics, cache fill, single-flight slot,
+// job spans), and only then publish the terminal state — so whoever sees a
+// job done also sees its spans, histograms and cached result. The
+// queue.wait and simulate stage spans close here with exactly the durations
+// the matching server.latency.* histograms observe.
 func (s *Server) runExecution(ex *execution) {
 	if !ex.start() {
 		// Cancelled while queued; Cancel already resolved it.
@@ -63,8 +67,8 @@ func (s *Server) runExecution(ex *execution) {
 		ex.simSpan.SetError(errMsg)
 	}
 	ex.simSpan.EndAt(t0.Add(simDur))
-	if !ex.finish(state, errMsg, result, cycle, insts) {
-		return // lost the race with Cancel; it did the bookkeeping
+	if !ex.resolve(outcome{state, errMsg, result, cycle, insts}) {
+		return // lost the race with Cancel; it does the bookkeeping
 	}
 	s.wallMSTotal.Add(uint64(simDur.Milliseconds()))
 	switch state {
@@ -82,6 +86,7 @@ func (s *Server) runExecution(ex *execution) {
 		ex.setTrace("", "uncacheable")
 	}
 	s.onExecutionDone(ex)
+	ex.publish()
 }
 
 // simulateContained runs the simulation itself under a recover, so a panic

@@ -17,7 +17,6 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -30,98 +29,6 @@ import (
 	"specmpk/internal/server/api"
 	"specmpk/internal/simpoint"
 )
-
-// profileCache holds sampled jobs' profiling products: immutable
-// simpoint.Plans keyed by api.JobSpec.ProfileKey. Eviction is LRU by access.
-// Builds are single-flight — concurrent sampled jobs needing the same plan
-// wait for one build instead of racing duplicate profiling passes. Build
-// errors are returned to every waiter and never cached: a transiently
-// unprofilable spec retries on the next submission.
-type profileCache struct {
-	mu      sync.Mutex
-	max     int // <= 0 disables caching (every job builds its own plan)
-	entries map[string]*list.Element
-	lru     *list.List // front = most recently used
-	pending map[string]*profileBuild
-
-	hits, misses atomic.Uint64
-}
-
-type profileEntry struct {
-	key  string
-	plan *simpoint.Plan
-}
-
-// profileBuild is one in-flight single-flight build.
-type profileBuild struct {
-	done chan struct{}
-	plan *simpoint.Plan
-	err  error
-}
-
-func newProfileCache(max int) *profileCache {
-	return &profileCache{
-		max:     max,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-		pending: make(map[string]*profileBuild),
-	}
-}
-
-// get returns the plan for key, building it with build on a miss. The second
-// return reports whether the plan came from the cache (including waiting out
-// another job's in-flight build) rather than from this call's own build.
-func (c *profileCache) get(key string, build func() (*simpoint.Plan, error)) (*simpoint.Plan, bool, error) {
-	if c.max <= 0 {
-		c.misses.Add(1)
-		p, err := build()
-		return p, false, err
-	}
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits.Add(1)
-		c.mu.Unlock()
-		return el.Value.(*profileEntry).plan, true, nil
-	}
-	if b, ok := c.pending[key]; ok {
-		c.mu.Unlock()
-		<-b.done
-		if b.err != nil {
-			return nil, false, b.err
-		}
-		// Sharing the winner's build is a hit: the profiling work was not
-		// repeated for this job.
-		c.hits.Add(1)
-		return b.plan, true, nil
-	}
-	b := &profileBuild{done: make(chan struct{})}
-	c.pending[key] = b
-	c.misses.Add(1)
-	c.mu.Unlock()
-
-	b.plan, b.err = build()
-	c.mu.Lock()
-	delete(c.pending, key)
-	if b.err == nil {
-		c.entries[key] = c.lru.PushFront(&profileEntry{key: key, plan: b.plan})
-		for c.lru.Len() > c.max {
-			oldest := c.lru.Back()
-			c.lru.Remove(oldest)
-			delete(c.entries, oldest.Value.(*profileEntry).key)
-		}
-	}
-	c.mu.Unlock()
-	close(b.done)
-	return b.plan, false, b.err
-}
-
-// len returns the current entry count.
-func (c *profileCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
 
 // intervalTask is one representative interval's detailed simulation, offered
 // to the worker pool. Whoever wins the claim CAS runs it — an idle worker

@@ -481,9 +481,10 @@ func (s *Server) Cancel(id string) (api.JobInfo, bool) {
 	ex.cancel()
 	// A queued execution has no worker to notice the cancellation yet;
 	// resolve it here. (A running one is finished by its worker.)
-	if ex.finish(api.StateCancelled, context.Canceled.Error(), nil, 0, 0) {
+	if ex.resolve(outcome{state: api.StateCancelled, errMsg: context.Canceled.Error()}) {
 		s.jobsCancelled.Add(1)
 		s.onExecutionDone(ex)
+		ex.publish()
 	}
 	return j.info(), true
 }
@@ -502,9 +503,10 @@ func (s *Server) Subscribe(id string) (<-chan api.Event, func(), bool) {
 
 // onExecutionDone clears the single-flight slot and retires the execution's
 // attached jobs into the retention window, closing each job's root span with
-// its terminal state and emitting one structured log line per job.
+// its resolved terminal state and emitting one structured log line per job.
+// It runs between resolve and publish.
 func (s *Server) onExecutionDone(ex *execution) {
-	state, errMsg, _, _, _ := ex.snapshot()
+	state, errMsg := ex.terminal()
 	stopReason, cacheDisp := ex.traceInfo()
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -258,6 +258,61 @@ func TestCacheHitAndDedupSpans(t *testing.T) {
 	}
 }
 
+// TestTerminalStateFollowsBookkeeping pins the publish order: the moment a
+// subscriber's channel closes, the job and dedup.wait spans, the e2e and
+// dedup_wait histogram observations and the cache fill must already exist.
+// A latency fault on server.cache.put stretches the bookkeeping window
+// between the end of the simulation and the terminal state to 50 ms, so a
+// server that publishes first fails this deterministically rather than by
+// losing a race.
+func TestTerminalStateFollowsBookkeeping(t *testing.T) {
+	s := tracedTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	armPlan(t, faults.Plan{Rules: []faults.Rule{
+		{Point: "server.cache.put", Action: faults.ActionLatency, DelayMS: 50},
+	}})
+	slow := spinSpec(200_000)
+	primary, err := s.Submit(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attached, err := s.Submit(slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !attached.Deduped {
+		t.Fatal("identical in-flight submit did not dedup")
+	}
+	e2eBefore, dedupBefore := s.lat.e2e.Count(), s.lat.dedupWait.Count()
+	ch, cancel, ok := s.Subscribe(attached.ID)
+	if !ok {
+		t.Fatal("unknown job")
+	}
+	defer cancel()
+	for range ch {
+	}
+
+	// No waiting from here on: everything must already be recorded.
+	spans := s.SpanRecorder().Spans()
+	if n := spanNames(otrace.FilterSpans(spans, attached.TraceID, "")); n["job"] != 1 || n["dedup.wait"] != 1 {
+		t.Errorf("deduped trace at terminal state: %v, want one job and one dedup.wait span", n)
+	}
+	if n := spanNames(otrace.FilterSpans(spans, primary.TraceID, "")); n["job"] != 1 {
+		t.Errorf("primary trace at terminal state: %v, want one job span", n)
+	}
+	if got := s.lat.e2e.Count() - e2eBefore; got != 2 {
+		t.Errorf("e2e histogram gained %d observations by terminal state, want 2", got)
+	}
+	if got := s.lat.dedupWait.Count() - dedupBefore; got != 1 {
+		t.Errorf("dedup_wait histogram gained %d observations by terminal state, want 1", got)
+	}
+	if _, ok := s.cache.peek(primary.Key); !ok {
+		t.Error("result not cached by terminal state")
+	}
+	if info, _ := s.Job(attached.ID); info.State != api.StateDone {
+		t.Errorf("job state %s after the stream closed, want done", info.State)
+	}
+}
+
 func TestDebugSpansEndpointFiltersAndChrome(t *testing.T) {
 	s := tracedTestServer(t, Options{Workers: 2, EventInterval: 1000})
 	ts := httptest.NewServer(s)

@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core fuzz-smoke profile-artifact perf perf-diff check clean
+.PHONY: all build test test-perfbench vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core fuzz-smoke profile-artifact perf perf-diff check clean
 
 all: check
 
@@ -10,6 +10,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The repository benchmark's own tests (perfbench is a separate module).
+# TestReferenceTableCurrent fails if a change moves any simulated result
+# the benchmark's reference table records.
+test-perfbench:
+	cd perfbench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -81,11 +87,12 @@ profile-artifact:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Hot-path micro-benchmarks only: the cost of one Machine.Step and of a whole
-# bounded Run, with allocs/op (the refactor's zero-alloc claim is visible as
-# "0 allocs/op" on the Step rows). Much faster than the full bench sweep.
+# Hot-path micro-benchmarks only: the cost of one Machine.Step, of a whole
+# bounded Run, and of building a Machine, with allocs/op (the zero-alloc
+# claim is visible as "0 allocs/op" on the Step rows; the New row's B/op is
+# the per-machine memory). Much faster than the full bench sweep.
 bench-core:
-	$(GO) test -bench='MachineStep|MachineRun' -benchmem -run=^$$ \
+	$(GO) test -bench='MachineStep|MachineRun|New' -benchmem -run=^$$ \
 		./internal/pipeline
 
 # Meta-benchmark: capture simulator + service throughput into

@@ -263,11 +263,13 @@ func (b *BTB) Update(pc, target uint64) {
 const MaxRAS = 64
 
 // RAS is a circular return-address stack. Because it is updated
-// speculatively at fetch, each in-flight control instruction carries a
-// checkpoint that Restore uses on a squash. The checkpoint is a full copy:
-// wrong-path pop/push sequences can corrupt arbitrary slots below the saved
-// top, which partial checkpoints cannot repair, and at 32 entries the copy
-// is cheap.
+// speculatively at fetch, a squash must rewind it exactly. Two mechanisms
+// do: a full-copy Checkpoint/Restore, and an undo log (PushUndo, PopUndo,
+// Rewind) that records per mutation the previous top and, for a push, the
+// slot it overwrote. Wrong-path pop/push sequences can corrupt arbitrary
+// slots below a saved top; undoing every record newer than the saved point,
+// newest first, repairs them exactly, for 16 bytes per call or return
+// instead of a 520-byte copy.
 type RAS struct {
 	stack [MaxRAS]uint64
 	size  int
@@ -323,4 +325,42 @@ func (r *RAS) Restore(cp RASCheckpoint) {
 	r.Restores++
 	r.top = cp.Top
 	r.stack = cp.Stack
+}
+
+// RASUndo reverses one Push or Pop.
+type RASUndo struct {
+	top  int32  // top of stack before the operation
+	slot int32  // slot a push overwrote; -1 for a pop
+	old  uint64 // that slot's previous value
+}
+
+// PushUndo is Push, returning the record that reverses it.
+func (r *RAS) PushUndo(addr uint64) RASUndo {
+	slot := (r.top + 1) % r.size
+	u := RASUndo{top: int32(r.top), slot: int32(slot), old: r.stack[slot]}
+	r.Push(addr)
+	return u
+}
+
+// PopUndo is Pop, returning the record that reverses it.
+func (r *RAS) PopUndo() (uint64, RASUndo) {
+	u := RASUndo{top: int32(r.top), slot: -1}
+	return r.Pop(), u
+}
+
+// Rewind undoes log[cur], log[cur-1], ... down to but excluding log[to],
+// treating log as a ring, and counts one restore. The stack returns exactly
+// to its state right after the mutation that logged log[to].
+func (r *RAS) Rewind(log []RASUndo, cur, to int) {
+	r.Restores++
+	for i := cur; i != to; {
+		u := &log[i]
+		if u.slot >= 0 {
+			r.stack[u.slot] = u.old
+		}
+		r.top = int(u.top)
+		if i--; i < 0 {
+			i = len(log) - 1
+		}
+	}
 }

@@ -203,6 +203,54 @@ func TestRASCheckpointProtectsAgainstClobber(t *testing.T) {
 	}
 }
 
+// TestRASUndoLogMatchesFullCopy drives random push/pop sequences through
+// the undo log, with random rewinds (including ones across the log ring's
+// wrap and across stack wraparound), and checks every rewound state against
+// a full-copy checkpoint taken when its record was logged. Each rewind
+// counts exactly one restore, like Restore.
+func TestRASUndoLogMatchesFullCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	r := NewRAS(8)
+	log := make([]RASUndo, 24)
+	ref := make([]RASCheckpoint, len(log))
+	cur := 0
+	ref[cur] = r.Checkpoint()
+	live := []int{cur} // indices a squash may rewind to, oldest first
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(5); {
+		case op < 2: // push
+			cur = (cur + 1) % len(log)
+			log[cur] = r.PushUndo(uint64(rng.Intn(1 << 20)))
+		case op < 4: // pop
+			before := r.Checkpoint()
+			addr, u := r.PopUndo()
+			if want := before.Stack[before.Top]; addr != want {
+				t.Fatalf("step %d: PopUndo returned %d, Pop would return %d", step, addr, want)
+			}
+			cur = (cur + 1) % len(log)
+			log[cur] = u
+		default: // squash back to a random live index
+			k := rng.Intn(len(live))
+			restores := r.Restores
+			r.Rewind(log, cur, live[k])
+			cur = live[k]
+			live = live[:k+1]
+			if r.Restores != restores+1 {
+				t.Fatalf("step %d: rewind counted %d restores, want 1", step, r.Restores-restores)
+			}
+			if r.Checkpoint() != ref[cur] {
+				t.Fatalf("step %d: rewound state differs from the full copy", step)
+			}
+			continue
+		}
+		ref[cur] = r.Checkpoint()
+		live = append(live, cur)
+		if len(live) > len(log)-2 {
+			live = live[1:] // the oldest instruction retires
+		}
+	}
+}
+
 func TestRASBadSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -37,13 +37,32 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses())
 }
 
+// line is one cache line's tag state in 16 bytes. tag holds the block
+// address (physical address >> line bits, so its top bits are always zero
+// for lines of 8 bytes or more) with the line's flags folded into those
+// free top bits.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	pfTag bool   // installed by the prefetcher, not yet demand-hit
-	lru   uint64 // larger = more recently used
+	tag uint64 // block address | lineValid | lineDirty | linePf
+	lru uint64 // larger = more recently used
 }
+
+// Line flags, stored in the top bits of line.tag.
+const (
+	lineValid = 1 << 63
+	lineDirty = 1 << 62
+	linePf    = 1 << 61 // installed by the prefetcher, not yet demand-hit
+
+	lineFlags = lineValid | lineDirty | linePf
+)
+
+// valid reports whether the line holds a block.
+func (l *line) valid() bool { return l.tag&lineValid != 0 }
+
+// holds reports whether the line is valid and holds block tag.
+func (l *line) holds(tag uint64) bool { return l.tag&^(lineDirty|linePf) == tag|lineValid }
+
+// block returns the line's block address without its flags.
+func (l *line) block() uint64 { return l.tag &^ lineFlags }
 
 // Cache is one level of the hierarchy.
 type Cache struct {
@@ -104,6 +123,9 @@ func New(cfg Config, next Level) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", cfg.Name, sets))
 	}
+	if cfg.LineB < 8 {
+		panic(fmt.Sprintf("cache %s: line size %d below 8 bytes", cfg.Name, cfg.LineB))
+	}
 	lb := uint(0)
 	for 1<<lb != cfg.LineB {
 		lb++
@@ -149,16 +171,16 @@ func (c *Cache) access(paddr uint64, write bool) int {
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[base+w]
-		if l.valid && l.tag == tag {
+		if l.holds(tag) {
 			c.Stats.Hits++
 			l.lru = c.tick
 			if write {
-				l.dirty = true
+				l.tag |= lineDirty
 			}
-			if l.pfTag {
+			if l.tag&linePf != 0 {
 				// Tagged prefetching: the first demand hit on a
 				// prefetched line keeps the stream running.
-				l.pfTag = false
+				l.tag &^= linePf
 				c.prefetchLine((tag + 1) << c.lineBits)
 			}
 			return c.latency
@@ -167,28 +189,21 @@ func (c *Cache) access(paddr uint64, write bool) int {
 	// Miss: fetch from below, then install with LRU victim selection.
 	c.Stats.Misses++
 	lat := c.latency + c.next.access(paddr, false)
-	victim := base
-	for w := 1; w < c.ways; w++ {
-		if !c.lines[base+w].valid {
-			victim = base + w
-			break
-		}
-		if c.lines[base+w].lru < c.lines[victim].lru {
-			victim = base + w
-		}
-	}
-	v := &c.lines[victim]
-	if v.valid {
+	v := c.victim(base)
+	if v.valid() {
 		c.Stats.Evictions++
-		if v.dirty {
+		if v.tag&lineDirty != 0 {
 			// Write-back the victim; charged to the lower level's counters
 			// but not to this access's latency (handled off the critical
 			// path by a write buffer).
 			c.Stats.Writebacks++
-			c.next.access(victimAddr(v.tag, c.lineBits), true)
+			c.next.access(victimAddr(v.block(), c.lineBits), true)
 		}
 	}
-	*v = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	*v = line{tag: tag | lineValid, lru: c.tick}
+	if write {
+		v.tag |= lineDirty
+	}
 	if c.prefetch {
 		c.prefetchLine((tag + 1) << c.lineBits)
 	}
@@ -201,15 +216,30 @@ func (c *Cache) prefetchLine(paddr uint64) {
 	set, tag := c.set(paddr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
-		if l := &c.lines[base+w]; l.valid && l.tag == tag {
+		if c.lines[base+w].holds(tag) {
 			return // already resident
 		}
 	}
 	c.Stats.Prefetches++
 	c.next.access(paddr, false)
+	v := c.victim(base)
+	if v.valid() {
+		c.Stats.Evictions++
+		if v.tag&lineDirty != 0 {
+			c.Stats.Writebacks++
+			c.next.access(victimAddr(v.block(), c.lineBits), true)
+		}
+	}
+	// Install with the lowest recency so useless prefetches evict first.
+	*v = line{tag: tag | lineValid | linePf}
+}
+
+// victim picks the line to replace in the set starting at base: the first
+// invalid way after way 0, else the least recently used way.
+func (c *Cache) victim(base int) *line {
 	victim := base
 	for w := 1; w < c.ways; w++ {
-		if !c.lines[base+w].valid {
+		if !c.lines[base+w].valid() {
 			victim = base + w
 			break
 		}
@@ -217,16 +247,7 @@ func (c *Cache) prefetchLine(paddr uint64) {
 			victim = base + w
 		}
 	}
-	v := &c.lines[victim]
-	if v.valid {
-		c.Stats.Evictions++
-		if v.dirty {
-			c.Stats.Writebacks++
-			c.next.access(victimAddr(v.tag, c.lineBits), true)
-		}
-	}
-	// Install with the lowest recency so useless prefetches evict first.
-	*v = line{tag: tag, valid: true, pfTag: true}
+	return &c.lines[victim]
 }
 
 func victimAddr(tag uint64, lineBits uint) uint64 { return tag << lineBits }
@@ -238,8 +259,7 @@ func (c *Cache) Probe(paddr uint64) bool {
 	set, tag := c.set(paddr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
-		l := c.lines[base+w]
-		if l.valid && l.tag == tag {
+		if c.lines[base+w].holds(tag) {
 			return true
 		}
 	}
@@ -255,8 +275,8 @@ func (c *Cache) flushLine(paddr uint64) {
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
 		l := &c.lines[base+w]
-		if l.valid && l.tag == tag {
-			l.valid = false
+		if l.holds(tag) {
+			l.tag &^= lineValid
 			c.Stats.Flushes++
 		}
 	}

@@ -3,6 +3,7 @@ package cache
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func smallCache() *Cache {
@@ -150,8 +151,8 @@ func (c *Cache) flushOnlyThisLevel(paddr uint64) {
 	set, tag := c.set(paddr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w].valid && c.lines[base+w].tag == tag {
-			c.lines[base+w].valid = false
+		if c.lines[base+w].holds(tag) {
+			c.lines[base+w].tag &^= lineValid
 		}
 	}
 }
@@ -204,7 +205,7 @@ func TestResidencyInvariant(t *testing.T) {
 	for s := 0; s < c.sets; s++ {
 		valid := 0
 		for w := 0; w < c.ways; w++ {
-			if c.lines[s*c.ways+w].valid {
+			if c.lines[s*c.ways+w].valid() {
 				valid++
 			}
 		}
@@ -259,5 +260,37 @@ func TestPrefetchSequentialStream(t *testing.T) {
 	}
 	if offMisses != 32 {
 		t.Fatalf("baseline misses = %d", offMisses)
+	}
+}
+
+// TestLineIsSixteenBytes pins the line layout: the flags live in the tag's
+// free top bits, so the L3 alone (32768 lines) costs 512 KB, not 768 KB.
+func TestLineIsSixteenBytes(t *testing.T) {
+	if sz := unsafe.Sizeof(line{}); sz != 16 {
+		t.Fatalf("cache line state is %d bytes, want 16", sz)
+	}
+}
+
+// TestLineFlagsDoNotAliasTags checks that the dirty and prefetch flags never
+// affect tag matching: a dirty line still hits, a clean eviction writes
+// nothing back, and a dirty one writes back exactly once.
+func TestLineFlagsDoNotAliasTags(t *testing.T) {
+	mem := &Memory{Latency: 100}
+	c := New(Config{Name: "t", SizeB: 128, Ways: 1, LineB: 64, Latency: 3}, mem)
+	const a, b = 0x1000, 0x1080 // same set, different tags
+	c.Access(a, true)           // miss, install dirty
+	if lat := c.Access(a, false); lat != 3 {
+		t.Fatalf("dirty line missed: latency %d", lat)
+	}
+	c.Access(b, false) // evicts the dirty line
+	if c.Stats.Writebacks != 1 {
+		t.Fatalf("writebacks = %d after evicting a dirty line, want 1", c.Stats.Writebacks)
+	}
+	c.Access(a, false) // evicts the clean line
+	if c.Stats.Writebacks != 1 {
+		t.Fatalf("writebacks = %d after evicting a clean line, want 1", c.Stats.Writebacks)
+	}
+	if !c.Probe(a) || c.Probe(b) {
+		t.Fatal("residency wrong after evictions")
 	}
 }

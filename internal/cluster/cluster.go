@@ -609,13 +609,12 @@ func (c *Coordinator) runOn(ctx context.Context, p *peer, spec api.JobSpec) (Rem
 	if len(info.Result) == 0 {
 		return RemoteResult{}, fmt.Errorf("cluster: peer %s answered done with no result payload", p.name)
 	}
-	// Canonicalize to compact JSON: the daemon stores results compact, but
-	// the job-info endpoint re-indents embedded payloads, so the bytes a
-	// client.Run sees carry transport formatting. Compacting restores the
-	// stored form without touching a single value (numbers pass through
-	// verbatim), keeping forwarded results bit-identical to the origin
-	// node's cache — and to the peer-lookup path, which reads that cache
-	// directly.
+	// Canonicalize to compact JSON. The job-info endpoint already embeds the
+	// stored (compact) result verbatim, but an older peer at the same API
+	// version answers indented; compacting touches no value (numbers pass
+	// through verbatim), so forwarded results stay bit-identical to the
+	// origin node's cache — and to the peer-lookup path, which reads that
+	// cache directly — whichever build the peer runs.
 	var buf bytes.Buffer
 	if err := json.Compact(&buf, info.Result); err != nil {
 		return RemoteResult{}, fmt.Errorf("cluster: bad result payload from %s: %w", p.name, err)

@@ -12,7 +12,7 @@ import (
 // allocations so a reintroduced per-cycle allocation is visible directly in
 // allocs/op. BenchmarkMachineRun prices a whole bounded simulation including
 // construction, the granularity the perf meta-benchmark (specmpk-bench perf)
-// measures end to end.
+// measures end to end. BenchmarkNew prices construction alone.
 
 func benchProgram(b *testing.B, wl string) workload.Profile {
 	b.Helper()
@@ -78,3 +78,25 @@ func BenchmarkMachineRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNew prices building one Table III machine. Its B/op is the
+// memory a server worker allocates per job: caches, predictor tables,
+// window and scheduler state, and the loaded program.
+func BenchmarkNew(b *testing.B) {
+	prog, err := benchProgram(b, "548.exchange2_r").Build(workload.VariantFull)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := pipeline.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if newSink, err = pipeline.New(cfg, prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newSink keeps BenchmarkNew's machines observable so the compiler cannot
+// drop the construction.
+var newSink *pipeline.Machine

@@ -1,5 +1,7 @@
 package pipeline
 
+import "specmpk/internal/bpred"
+
 // Idle fast-forward.
 //
 // A window stalled on a long-latency DRAM miss spends hundreds of cycles in
@@ -102,51 +104,96 @@ func (m *Machine) skipIdle(n uint64) {
 }
 
 // markIssued transitions a waiting entry to issued with completion cycle
-// done, maintaining the issue-queue occupancy count, the issue bitmap, the
-// issued-entry count, and the completion horizon. Every st → stIssued
-// transition goes through here so those invariants cannot drift from the
-// ring state.
+// done, maintaining the issue-queue occupancy count, the issue and issued
+// bitmaps, and the completion horizon. Every st → stIssued transition goes
+// through here so those invariants cannot drift from the ring state.
 func (m *Machine) markIssued(e *alEntry, done uint64) {
+	slot := int(e.alIdx)
 	if e.st == stWaiting {
 		m.iqCnt--
-		m.iqClearBit(int(e.alIdx))
+		m.iqBits.clear(slot)
 	}
 	e.st = stIssued
 	e.done = done
-	m.issuedCnt++
+	m.issuedBits.set(slot)
 	if done < m.nextDone {
 		m.nextDone = done
 	}
 }
 
-// iqSetBit / iqClearBit maintain the issue stage's waiting-entry bitmap
-// (Machine.iqBits); i is a physical active-list slot. Clearing is idempotent:
-// an entry deferred to the AL head clears its bit early and markIssued clears
-// it again at the replay.
-func (m *Machine) iqSetBit(i int)   { m.iqBits[i>>6] |= 1 << (uint(i) & 63) }
-func (m *Machine) iqClearBit(i int) { m.iqBits[i>>6] &^= 1 << (uint(i) & 63) }
+// slotBits is a bitmap over physical active-list slots (Machine.iqBits and
+// its siblings). Clearing is idempotent: an entry deferred to the AL head
+// clears its issue bit early and markIssued clears it again at the replay.
+type slotBits []uint64
 
-// rasCheckpoint returns the pool index describing the current RAS state,
-// appending a new pool entry only when this fetch group's instruction
-// actually pushed or popped (mutated); otherwise the previous checkpoint is
-// shared. See Machine.rasCkpts for why the pool cannot overwrite a live
-// entry.
-func (m *Machine) rasCheckpoint(mutated bool) int {
-	if mutated {
-		m.rasCur++
-		if m.rasCur == len(m.rasCkpts) {
-			m.rasCur = 0
+func (b slotBits) set(i int)   { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b slotBits) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
+
+// anyIn reports whether any bit in slots [lo, hi) is set.
+func (b slotBits) anyIn(lo, hi int) bool {
+	for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
+		if spanWord(b[w], w, lo, hi) != 0 {
+			return true
 		}
-		m.rasCkpts[m.rasCur] = m.ras.Checkpoint()
 	}
+	return false
+}
+
+// spanWord masks bitmap word w down to the slots in [lo, hi).
+func spanWord(word uint64, w, lo, hi int) uint64 {
+	base := w << 6
+	if base < lo {
+		word &= ^uint64(0) << uint(lo-base)
+	}
+	if base+64 > hi {
+		word &= 1<<uint(hi-base) - 1
+	}
+	return word
+}
+
+// windowSpans returns the window [head, head+cnt) of an n-slot ring as at
+// most two physical slot ranges, oldest first; within a range ascending
+// slot number is ascending age. Walking a bitmap's set bits span by span
+// therefore visits entries in program order.
+func windowSpans(head, cnt, n int) [2][2]int {
+	end := head + cnt
+	hi0 := min(end, n)
+	return [2][2]int{{head, hi0}, {0, end - hi0}}
+}
+
+// ringOffset converts a physical slot into its window offset (0 = oldest).
+func ringOffset(slot, head, n int) int {
+	off := slot - head
+	if off < 0 {
+		off += n
+	}
+	return off
+}
+
+// noLink terminates a consumer list (Machine.consHead, alEntry.wakeNext).
+const noLink = -1
+
+// consLink encodes a consumer-list link: the consumer's active-list slot and
+// which of its two source operands (k) the link belongs to.
+func consLink(slot, k int) int32 { return int32(slot<<1 | k) }
+
+// rasCheckpoint appends the undo record of a push or pop fetch just made and
+// returns the new log index, which names the RAS state after that mutation.
+// See Machine.rasLog for why the log cannot overwrite a live record.
+func (m *Machine) rasCheckpoint(u bpred.RASUndo) int {
+	m.rasCur++
+	if m.rasCur == len(m.rasLog) {
+		m.rasCur = 0
+	}
+	m.rasLog[m.rasCur] = u
 	return m.rasCur
 }
 
-// rasRestore rewinds the RAS to pool entry idx and makes it the current
-// checkpoint again. Every surviving in-flight instruction references a pool
-// entry at or before idx on the live path, so the write cursor rewinds with
-// the squash — the invariant that bounds the pool's live span.
+// rasRestore rewinds the RAS to log index idx — undoing every newer record,
+// newest first — and makes idx current again. Every surviving in-flight
+// instruction references an index at or before idx on the live path, so the
+// write cursor rewinds with the squash: the invariant that bounds the log.
 func (m *Machine) rasRestore(idx int) {
-	m.ras.Restore(m.rasCkpts[idx])
+	m.ras.Rewind(m.rasLog, m.rasCur, idx)
 	m.rasCur = idx
 }

@@ -5,25 +5,42 @@ import (
 	"testing"
 
 	"specmpk/internal/asm"
+	"specmpk/internal/bpred"
 	"specmpk/internal/funcsim"
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
 	"specmpk/internal/stats"
 )
 
-// This file pins the hot-path data structures the cycle-loop refactor
-// introduced: the active-list ring and its incremental occupancy counters,
-// the issue bitmap, the preallocated free list, the fetch-queue ring, the
-// RAS-checkpoint pool, and the batched load-latency histogram. The golden
-// harness pins end-to-end timing; these tests pin the internal invariants
-// per cycle, under squash/refill storms, so a future edit that lets a
-// counter drift fails here with a named invariant instead of as an opaque
-// golden mismatch.
+// This file pins the hot-path data structures the cycle loop maintains
+// incrementally: the active-list ring and its occupancy counters, the
+// event-driven scheduler (issue, ready, issued and unresolved-store bitmaps
+// plus the per-register consumer lists), the preallocated free list, the
+// fetch-queue ring, the RAS undo log, and the batched load-latency
+// histogram. The golden harness pins end-to-end timing; these tests pin the
+// internal invariants per cycle, under squash/refill storms, so a future
+// edit that lets a structure drift fails here with a named invariant
+// instead of as an opaque golden mismatch.
 
-// checkHotInvariants cross-checks every incrementally maintained structure
-// against a fresh walk of the window. Called after each Step, so it sees
-// every intermediate machine state a storm produces.
-func checkHotInvariants(t *testing.T, m *Machine) {
+func (b slotBits) has(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// hotChecker cross-checks every incrementally maintained structure against
+// a fresh walk of the window. check runs after each Step, so it sees every
+// intermediate machine state a storm produces. The one piece of state it
+// carries across steps is rasRef: a full-copy RAS checkpoint per undo-log
+// index, taken in the cycle fetch created that index, which the undo log's
+// rewinds must reproduce exactly.
+type hotChecker struct {
+	rasRef []bpred.RASCheckpoint
+}
+
+func newHotChecker(m *Machine) *hotChecker {
+	c := &hotChecker{rasRef: make([]bpred.RASCheckpoint, len(m.rasLog))}
+	c.rasRef[m.rasCur] = m.ras.Checkpoint()
+	return c
+}
+
+func (c *hotChecker) check(t *testing.T, m *Machine) {
 	t.Helper()
 	n := len(m.al)
 
@@ -37,9 +54,11 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 			m.cycle, m.alTail, wantTail, m.alHead, m.alCnt)
 	}
 
-	// Recount the window; verify counters, the issue bitmap, and alIdx.
-	var waiting, issued, unresolved, allocs int
+	// Recount the window; verify counters, the scheduler bitmaps, the
+	// pending-operand counts and alIdx.
+	var waiting, allocs, links int
 	inWindow := make([]bool, n)
+	srcReady := func(p int) bool { return p == noReg || m.prfReady[p] }
 	for i := 0; i < m.alCnt; i++ {
 		e := m.alAt(i)
 		phys := m.alHead + i
@@ -53,38 +72,85 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 		switch e.st {
 		case stWaiting:
 			waiting++
+			pending := 0
+			for _, p := range [2]int{e.physRs1, e.physRs2} {
+				if !srcReady(p) {
+					pending++
+				}
+			}
+			if int(e.pending) != pending {
+				t.Fatalf("cycle %d: slot %d pending %d, %d sources not ready", m.cycle, phys, e.pending, pending)
+			}
+			links += pending
+			if got, want := m.readyBits.has(phys), pending == 0; got != want {
+				t.Fatalf("cycle %d: readyBits[slot %d] = %v, want %v (sources %d/%d)",
+					m.cycle, phys, got, want, e.physRs1, e.physRs2)
+			}
 		case stIssued:
-			issued++
 			if e.done < m.nextDone {
 				t.Fatalf("cycle %d: issued entry completes at %d before nextDone %d",
 					m.cycle, e.done, m.nextDone)
 			}
 		}
-		if e.isStore && !e.addrReady && e.fault == nil {
-			unresolved++
-		}
 		if e.newPhys != noReg {
 			allocs++
 		}
-		wantBit := e.st == stWaiting && !e.stallTillHead
-		if gotBit := m.iqBits[phys>>6]&(1<<(uint(phys)&63)) != 0; gotBit != wantBit {
-			t.Fatalf("cycle %d: iqBits[slot %d] = %v, want %v (st %d stallTillHead %v)",
-				m.cycle, phys, gotBit, wantBit, e.st, e.stallTillHead)
+		checkBit := func(name string, b slotBits, want bool) {
+			if got := b.has(phys); got != want {
+				t.Fatalf("cycle %d: %s[slot %d] = %v, want %v (st %d stallTillHead %v store %v addrReady %v fault %v)",
+					m.cycle, name, phys, got, want, e.st, e.stallTillHead, e.isStore, e.addrReady, e.fault != nil)
+			}
 		}
+		checkBit("iqBits", m.iqBits, e.st == stWaiting && !e.stallTillHead)
+		checkBit("issuedBits", m.issuedBits, e.st == stIssued)
+		checkBit("unresolvedBits", m.unresolvedBits, e.isStore && !e.addrReady && e.fault == nil)
 	}
 	if waiting != m.iqCnt {
 		t.Fatalf("cycle %d: iqCnt %d, window has %d waiting", m.cycle, m.iqCnt, waiting)
 	}
-	if issued != m.issuedCnt {
-		t.Fatalf("cycle %d: issuedCnt %d, window has %d issued", m.cycle, m.issuedCnt, issued)
-	}
-	if unresolved != m.sqUnresolved {
-		t.Fatalf("cycle %d: sqUnresolved %d, window has %d", m.cycle, m.sqUnresolved, unresolved)
-	}
 	for slot := 0; slot < n; slot++ {
-		if !inWindow[slot] && m.iqBits[slot>>6]&(1<<(uint(slot)&63)) != 0 {
-			t.Fatalf("cycle %d: stale iqBits bit for slot %d outside the window", m.cycle, slot)
+		if inWindow[slot] {
+			continue
 		}
+		for name, b := range map[string]slotBits{"iqBits": m.iqBits, "issuedBits": m.issuedBits, "unresolvedBits": m.unresolvedBits} {
+			if b.has(slot) {
+				t.Fatalf("cycle %d: stale %s bit for slot %d outside the window", m.cycle, name, slot)
+			}
+		}
+	}
+
+	// Consumer lists: every link names a waiting in-window entry whose
+	// source k is this not-yet-ready register, each list runs youngest
+	// first, and the lists hold exactly the window's pending operands.
+	seen := 0
+	for p, l := range m.consHead {
+		if l != noLink && m.prfReady[p] {
+			t.Fatalf("cycle %d: ready register %d still has consumers", m.cycle, p)
+		}
+		var prevSeq uint64
+		for ; l != noLink; seen++ {
+			slot, k := int(l>>1), int(l&1)
+			if seen > 2*n {
+				t.Fatalf("cycle %d: consumer list of register %d does not terminate", m.cycle, p)
+			}
+			e := &m.al[slot]
+			src := e.physRs1
+			if k == 1 {
+				src = e.physRs2
+			}
+			if !inWindow[slot] || e.st != stWaiting || src != p {
+				t.Fatalf("cycle %d: register %d lists slot %d source %d (in window %v, st %d, source reg %d)",
+					m.cycle, p, slot, k, inWindow[slot], e.st, src)
+			}
+			if prevSeq != 0 && e.seq > prevSeq {
+				t.Fatalf("cycle %d: consumer list of register %d is not youngest first", m.cycle, p)
+			}
+			prevSeq = e.seq
+			l = e.wakeNext[k]
+		}
+	}
+	if seen != links {
+		t.Fatalf("cycle %d: consumer lists hold %d links, window has %d pending operands", m.cycle, seen, links)
 	}
 
 	// Free-list conservation and pool reuse: every physical register is
@@ -105,23 +171,50 @@ func checkHotInvariants(t *testing.T, m *Machine) {
 			m.cycle, m.fqHead, m.fqLen, len(m.fq))
 	}
 
-	// RAS-checkpoint pool: the cursor's entry always describes the live RAS,
-	// and every in-flight reference is a valid pool index.
-	if m.rasCkpts[m.rasCur] != m.ras.Checkpoint() {
-		t.Fatalf("cycle %d: rasCkpts[rasCur] does not match the live RAS", m.cycle)
-	}
-	for i := 0; i < m.alCnt; i++ {
-		if ck := m.alAt(i).rasCkpt; ck < 0 || ck >= len(m.rasCkpts) {
-			t.Fatalf("cycle %d: AL entry rasCkpt %d out of pool range", m.cycle, ck)
+	c.checkRAS(t, m)
+}
+
+// checkRAS pins the RAS undo log against full copies. A call or return ends
+// its fetch group, so at most one record is created per cycle and it is the
+// fetch-queue tail's: its full copy is the live RAS right after the Step.
+// Then the live RAS must match its index's copy (after a squash, that is
+// the rewound state), and rewinding a scratch RAS through the log to every
+// in-flight instruction's index, youngest first, must reproduce that
+// index's copy exactly.
+func (c *hotChecker) checkRAS(t *testing.T, m *Machine) {
+	t.Helper()
+	if m.fqLen > 0 {
+		fe := &m.fq[(m.fqHead+m.fqLen-1)%len(m.fq)]
+		if fe.fetchedAt == m.cycle && !fe.badFetch && (fe.in.IsCall() || fe.in.IsReturn()) {
+			if fe.rasCkpt != m.rasCur {
+				t.Fatalf("cycle %d: fetched call/return holds RAS index %d, cursor is %d", m.cycle, fe.rasCkpt, m.rasCur)
+			}
+			c.rasRef[m.rasCur] = m.ras.Checkpoint()
 		}
 	}
-	for i := 0; i < m.fqLen; i++ {
-		j := m.fqHead + i
-		if j >= len(m.fq) {
-			j -= len(m.fq)
+	if m.ras.Checkpoint() != c.rasRef[m.rasCur] {
+		t.Fatalf("cycle %d: live RAS differs from the full copy for index %d", m.cycle, m.rasCur)
+	}
+	var refs []int // in-flight indices, youngest first
+	for i := m.fqLen - 1; i >= 0; i-- {
+		refs = append(refs, m.fq[(m.fqHead+i)%len(m.fq)].rasCkpt)
+	}
+	for i := m.alCnt - 1; i >= 0; i-- {
+		refs = append(refs, m.alAt(i).rasCkpt)
+	}
+	scratch := *m.ras
+	cur := m.rasCur
+	for _, idx := range refs {
+		if idx < 0 || idx >= len(m.rasLog) {
+			t.Fatalf("cycle %d: in-flight RAS index %d out of log range", m.cycle, idx)
 		}
-		if ck := m.fq[j].rasCkpt; ck < 0 || ck >= len(m.rasCkpts) {
-			t.Fatalf("cycle %d: fq entry rasCkpt %d out of pool range", m.cycle, ck)
+		if idx == cur {
+			continue
+		}
+		scratch.Rewind(m.rasLog, cur, idx)
+		cur = idx
+		if scratch.Checkpoint() != c.rasRef[idx] {
+			t.Fatalf("cycle %d: rewinding the undo log to index %d differs from its full copy", m.cycle, idx)
 		}
 	}
 }
@@ -225,11 +318,12 @@ func TestHotPathInvariantsUnderStorm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		chk := newHotChecker(m)
 		wraps := 0
 		lastHead := m.alHead
 		for limit := 0; limit < 2_000_000 && !m.halted && m.fault == nil; limit++ {
 			m.Step()
-			checkHotInvariants(t, m)
+			chk.check(t, m)
 			if m.alHead < lastHead {
 				wraps++
 			}
@@ -254,7 +348,8 @@ func TestHotPathInvariantsUnderStorm(t *testing.T) {
 // TestHotPathInvariantsMemDepAblations repeats the per-cycle invariant sweep
 // under the two ablations that exercise the rarest paths: optimistic memory
 // disambiguation (memory-order squashes mid-issue) and suspect-store address
-// withholding (sqUnresolved re-increments plus store replay at the head).
+// withholding (unresolved-store bits set again, plus store replay at the
+// head).
 func TestHotPathInvariantsMemDepAblations(t *testing.T) {
 	p := stormProg(t)
 	want := stormDigest(t, p)
@@ -266,9 +361,10 @@ func TestHotPathInvariantsMemDepAblations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		chk := newHotChecker(m)
 		for limit := 0; limit < 2_000_000 && !m.halted && m.fault == nil; limit++ {
 			m.Step()
-			checkHotInvariants(t, m)
+			chk.check(t, m)
 		}
 		if !m.halted {
 			t.Fatalf("stall=%v: storm did not halt", stall)

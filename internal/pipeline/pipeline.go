@@ -316,13 +316,16 @@ type alEntry struct {
 	newPhys int // physical destination or noReg
 	physRs1 int
 	physRs2 int
+	// Operand wakeup: pending counts source operands not yet ready, and
+	// wakeNext[k] links source k onto its producer register's consumer list
+	// (Machine.consHead); see consLink for the encoding.
+	pending  int8
+	wakeNext [2]int32
 
-	// Control flow. rasCkpt indexes the machine's RAS-checkpoint pool
-	// (rasCkpts) rather than embedding the checkpoint: consecutive
-	// instructions share a checkpoint unless one of them pushed or popped
-	// the RAS, so pooling turns a 500+-byte copy per in-flight instruction
-	// into one copy per call/return — and keeps alEntry small enough that
-	// the window walks stay cache-resident.
+	// Control flow. rasCkpt indexes the machine's RAS undo log (rasLog):
+	// the RAS state right after this instruction's own push or pop.
+	// Consecutive instructions share an index unless one of them pushed or
+	// popped, so the log costs one 16-byte record per call/return.
 	predTaken  bool
 	predTarget uint64
 	hasDir     bool
@@ -433,15 +436,16 @@ type Machine struct {
 	btb  *bpred.BTB
 	ras  *bpred.RAS
 
-	// RAS-checkpoint pool: the RAS only changes on calls and returns, so
-	// consecutive instructions share one checkpoint. Fetch appends a pool
-	// entry per RAS mutation (rasCheckpoint) and in-flight instructions carry
-	// pool indices; a squash restore rewinds the cursor along with the RAS
-	// (rasRestore), which is what bounds the pool: between the oldest live
-	// index and rasCur there is at most one entry per in-flight call/return,
-	// so a pool sized AL + fetch queue + 2 can never overwrite a live entry.
-	rasCkpts []bpred.RASCheckpoint
-	rasCur   int
+	// RAS undo log: the RAS only changes on calls and returns, so fetch
+	// appends one undo record per push or pop (rasCheckpoint) and in-flight
+	// instructions carry log indices. A squash undoes the records newer than
+	// the surviving instruction's index, newest first, and rewinds the cursor
+	// with them (rasRestore). That rewind is what bounds the log: between the
+	// oldest live index and rasCur there is at most one record per in-flight
+	// call/return, so a log sized AL + fetch queue + 2 never overwrites a
+	// record a squash still needs.
+	rasLog []bpred.RASUndo
+	rasCur int
 
 	pc           uint64
 	fetchStopped bool // saw HALT (or unrecoverable fetch fault)
@@ -471,20 +475,29 @@ type Machine struct {
 	// stWaiting), maintained incrementally so the rename stage's issue-queue
 	// occupancy check is O(1) instead of a per-cycle window walk.
 	iqCnt int
-	// iqBits is the issue stage's work list: one bit per active-list slot
-	// (indexed physically, not by window offset), set while the entry is
-	// waiting and issuable. The issue walk scans set bits in age order
-	// instead of touching every window entry. A bit clears when its entry
-	// issues, squashes, or defers to the AL head (deferred entries rejoin
-	// via the retire stage, never the issue walk).
-	iqBits []uint64
-	// issuedCnt counts entries in stIssued (executed, completion pending);
-	// the completion walk stops once it has seen them all.
-	issuedCnt int
-	// sqUnresolved counts in-flight stores whose address is still unknown
-	// (addrReady false, no fault). Zero lets a load skip the conservative
-	// disambiguation scan entirely — the scan could not find anything.
-	sqUnresolved int
+
+	// Event-driven scheduler state (see DESIGN.md §12). Every bitmap has one
+	// bit per physical active-list slot; the stages walk them in age order.
+	//
+	// iqBits: the entry is waiting and issuable (not deferred to the AL
+	// head). A bit clears when its entry issues, squashes, or defers
+	// (deferred entries rejoin via the retire stage, never the issue walk).
+	iqBits slotBits
+	// readyBits: the waiting entry's source operands are all ready. Set at
+	// rename or by the producer's completion (the wakeup); the issue walk
+	// visits iqBits & readyBits. Stale for slots that are not waiting.
+	readyBits slotBits
+	// issuedBits: the entry is in stIssued (executed, completion pending);
+	// the completion walk visits exactly these.
+	issuedBits slotBits
+	// unresolvedBits: an in-flight store whose address is still unknown
+	// (addrReady false, no fault). A load's conservative disambiguation is an
+	// any-bit test over the older part of the window.
+	unresolvedBits slotBits
+	// consHead heads each physical register's list of waiting consumers,
+	// threaded through alEntry.wakeNext (noLink = empty). A list is ordered
+	// youngest first, because rename prepends in program order.
+	consHead []int32
 	// nextDone is a lower bound on the earliest completion cycle of any
 	// stIssued entry (noDone when none): the complete stage returns
 	// immediately on cycles before it, and the idle fast-forward uses it as
@@ -554,7 +567,7 @@ type fqEntry struct {
 	predTarget uint64
 	hasDir     bool
 	dir        bpred.DirState
-	rasCkpt    int // RAS-checkpoint pool index (see Machine.rasCkpts)
+	rasCkpt    int // RAS undo-log index (see Machine.rasLog)
 }
 
 // New loads prog and builds a machine.
@@ -582,28 +595,35 @@ func NewWithState(cfg Config, prog *asm.Program, as *mem.AddressSpace,
 	}
 	pkruEntries := pol.ROBPkruEntries(cfg)
 	fqCap := cfg.Width * (cfg.FrontendDepth + 1)
+	alWords := (cfg.ALSize + 63) / 64
 	m := &Machine{
-		Cfg:       cfg,
-		policy:    pol,
-		Prog:      prog,
-		AS:        as,
-		Hier:      cache.NewHierarchy(cfg.Caches),
-		DTLB:      tlb.New(cfg.DTLB),
-		ITLB:      tlb.New(cfg.ITLB),
-		PKRUState: core.New(core.Config{ROBSize: max(pkruEntries, 1)}),
-		tage:      bpred.NewTAGE(),
-		btb:       bpred.NewBTB(cfg.BTBEntries),
-		ras:       bpred.NewRAS(cfg.RASEntries),
-		pc:        pc,
-		prf:       make([]uint64, cfg.PRFSize),
-		prfReady:  make([]bool, cfg.PRFSize),
-		al:        make([]alEntry, cfg.ALSize),
-		fq:        make([]fqEntry, fqCap),
-		iqBits:    make([]uint64, (cfg.ALSize+63)/64),
-		rasCkpts:  make([]bpred.RASCheckpoint, cfg.ALSize+fqCap+2),
-		nextDone:  noDone,
+		Cfg:            cfg,
+		policy:         pol,
+		Prog:           prog,
+		AS:             as,
+		Hier:           cache.NewHierarchy(cfg.Caches),
+		DTLB:           tlb.New(cfg.DTLB),
+		ITLB:           tlb.New(cfg.ITLB),
+		PKRUState:      core.New(core.Config{ROBSize: max(pkruEntries, 1)}),
+		tage:           bpred.NewTAGE(),
+		btb:            bpred.NewBTB(cfg.BTBEntries),
+		ras:            bpred.NewRAS(cfg.RASEntries),
+		pc:             pc,
+		prf:            make([]uint64, cfg.PRFSize),
+		prfReady:       make([]bool, cfg.PRFSize),
+		al:             make([]alEntry, cfg.ALSize),
+		fq:             make([]fqEntry, fqCap),
+		iqBits:         make(slotBits, alWords),
+		readyBits:      make(slotBits, alWords),
+		issuedBits:     make(slotBits, alWords),
+		unresolvedBits: make(slotBits, alWords),
+		consHead:       make([]int32, cfg.PRFSize),
+		rasLog:         make([]bpred.RASUndo, cfg.ALSize+fqCap+2),
+		nextDone:       noDone,
 	}
-	m.rasCkpts[0] = m.ras.Checkpoint()
+	for p := range m.consHead {
+		m.consHead[p] = noLink
+	}
 	m.PKRUState.SetARF(pkru)
 	if cfg.MemDepSpeculation {
 		m.violators = make(map[uint64]bool)
@@ -749,15 +769,14 @@ func (m *Machine) SetArchState(regs *[isa.NumRegs]uint64, pkru mpk.PKRU, pc uint
 }
 
 // WarmRAS seeds the return-address stack from a checkpointed call stack,
-// oldest frame first, and re-anchors the baseline RAS checkpoint so squashes
-// rewind to the warmed stack rather than an empty one. Like SetArchState it
-// is only meaningful before the first Step — it is the RAS half of a SimPoint
+// oldest frame first. The pushes bypass the undo log, so they form the
+// baseline every squash rewinds to, never past. Like SetArchState it is only
+// meaningful before the first Step — it is the RAS half of a SimPoint
 // checkpoint restore (the branch-history half replays through Predictors).
 func (m *Machine) WarmRAS(stack []uint64) {
 	for _, addr := range stack {
 		m.ras.Push(addr)
 	}
-	m.rasCkpts[m.rasCur] = m.ras.Checkpoint()
 }
 
 // InFlight returns the number of active-list entries currently occupied.

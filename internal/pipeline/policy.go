@@ -271,12 +271,7 @@ func (m *Machine) specPKRU(idx int) mpk.PKRU {
 	return m.PKRUState.ARF()
 }
 
-// specPKRUForEntry finds e's AL offset and delegates to specPKRU.
+// specPKRUForEntry delegates to specPKRU at e's AL offset.
 func (m *Machine) specPKRUForEntry(e *alEntry) mpk.PKRU {
-	for i := 0; i < m.alCnt; i++ {
-		if m.alAt(i) == e {
-			return m.specPKRU(i)
-		}
-	}
-	return m.PKRUState.ARF()
+	return m.specPKRU(ringOffset(int(e.alIdx), m.alHead, len(m.al)))
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math/bits"
 
+	"specmpk/internal/bpred"
 	"specmpk/internal/core"
 	"specmpk/internal/isa"
 	"specmpk/internal/mem"
@@ -58,7 +59,11 @@ func (m *Machine) fetchStage() {
 		*fe = fqEntry{pc: m.pc, in: in, readyAt: m.cycle + uint64(m.Cfg.FrontendDepth), fetchedAt: m.cycle}
 		nextPC := m.pc + isa.InstBytes
 		taken := false
-		rasMut := false
+		// The RAS index captures the state *after* this instruction's own
+		// RAS effect, so recovery undoes younger wrong-path effects only.
+		// Only calls and returns append an undo record; everything else
+		// shares the previous index.
+		fe.rasCkpt = m.rasCur
 		switch {
 		case in.Op.IsCondBranch():
 			pred, st := m.tage.Predict(m.pc)
@@ -75,16 +80,16 @@ func (m *Machine) fetchStage() {
 			fe.predTaken = true
 			fe.predTarget = uint64(in.Imm)
 			if in.IsCall() {
-				m.ras.Push(m.pc + isa.InstBytes)
-				rasMut = true
+				fe.rasCkpt = m.rasCheckpoint(m.ras.PushUndo(m.pc + isa.InstBytes))
 			}
 			nextPC = fe.predTarget
 			taken = true
 		case in.Op == isa.OpJalr:
 			fe.predTaken = true
 			if in.IsReturn() {
-				fe.predTarget = m.ras.Pop()
-				rasMut = true
+				var u bpred.RASUndo
+				fe.predTarget, u = m.ras.PopUndo()
+				fe.rasCkpt = m.rasCheckpoint(u)
 			} else {
 				if tgt, hit := m.btb.Lookup(m.pc); hit {
 					fe.predTarget = tgt
@@ -92,18 +97,12 @@ func (m *Machine) fetchStage() {
 					fe.predTarget = m.pc + isa.InstBytes // guaranteed redirect later
 				}
 				if in.IsCall() {
-					m.ras.Push(m.pc + isa.InstBytes)
-					rasMut = true
+					fe.rasCkpt = m.rasCheckpoint(m.ras.PushUndo(m.pc + isa.InstBytes))
 				}
 			}
 			nextPC = fe.predTarget
 			taken = true
 		}
-		// The checkpoint captures the state *after* this instruction's own RAS
-		// effect, so recovery replays younger wrong-path effects only. Only
-		// calls and returns create a new pool entry; everything else shares
-		// the previous one.
-		fe.rasCkpt = m.rasCheckpoint(rasMut)
 		m.Stats.Fetched++
 		m.pc = nextPC
 		if in.Op == isa.OpHalt {
@@ -201,12 +200,13 @@ func (m *Machine) renameStage() {
 		m.fqPop()
 		m.progressed = true
 		m.seq++
-		e := &m.al[m.alTail]
+		slot := m.alTail
+		e := &m.al[slot]
 		*e = alEntry{
 			seq:        m.seq,
 			pc:         fe.pc,
 			in:         in,
-			alIdx:      int32(m.alTail),
+			alIdx:      int32(slot),
 			fetchCyc:   fe.fetchedAt,
 			renameCyc:  m.cycle,
 			st:         stWaiting,
@@ -221,26 +221,39 @@ func (m *Machine) renameStage() {
 			dir:        fe.dir,
 			rasCkpt:    fe.rasCkpt,
 		}
-		m.iqSetBit(m.alTail)
 		m.alTail++
 		if m.alTail == len(m.al) {
 			m.alTail = 0
 		}
 		m.alCnt++
-		m.iqCnt++
 		if fe.badFetch {
 			// Fetch-fault marker: deliver an exec fault at retirement.
 			e.fault = &mem.Fault{Kind: mem.FaultPage, Addr: fe.pc, Access: mem.Exec}
 			e.st = stDone
 			e.done = m.cycle
-			m.iqCnt--
-			m.iqClearBit(int(e.alIdx))
+		} else {
+			m.iqCnt++
+			m.iqBits.set(slot)
 		}
 		if in.ReadsRs1() {
 			e.physRs1 = m.rmt[in.Rs1]
 		}
 		if in.ReadsRs2() {
 			e.physRs2 = m.rmt[in.Rs2]
+		}
+		// Operand wakeup: link onto each not-yet-ready producer register's
+		// consumer list; the producer's completion counts pending down.
+		for k, p := range [2]int{e.physRs1, e.physRs2} {
+			if p != noReg && !m.prfReady[p] {
+				e.pending++
+				e.wakeNext[k] = m.consHead[p]
+				m.consHead[p] = consLink(slot, k)
+			}
+		}
+		if e.pending == 0 {
+			m.readyBits.set(slot)
+		} else {
+			m.readyBits.clear(slot)
 		}
 		// PKRU renaming / serialization bookkeeping.
 		m.policy.DispatchWrpkru(m, e)
@@ -260,7 +273,7 @@ func (m *Machine) renameStage() {
 			e.isStore = true
 			e.memBytes = in.Op.MemBytes()
 			m.sqCnt++
-			m.sqUnresolved++ // address unknown until storeExecute
+			m.unresolvedBits.set(slot) // address unknown until storeExecute
 		}
 		renamed++
 		m.Stats.Renamed++
@@ -290,52 +303,31 @@ func (m *Machine) issueStage() {
 	}
 	issued := 0
 	n := len(m.al)
-	// Walk the waiting-entry bitmap in age order: the window occupies
-	// [alHead, alHead+alCnt) on the ring, i.e. at most two physical spans,
-	// and within a span ascending slot number is ascending age. Only bits for
-	// waiting, non-deferred entries are set, so the walk touches exactly the
-	// entries the old full-window scan would have executed or skipped as
-	// not-ready — in the same order, with the same intermediate state.
-	spanEnd := m.alHead + m.alCnt
-	hi0 := spanEnd
-	if hi0 > n {
-		hi0 = n
-	}
-	spans := [2][2]int{{m.alHead, hi0}, {0, spanEnd - hi0}}
-	for _, sp := range spans {
+	// Walk the issuable entries whose operands are ready (iqBits &
+	// readyBits) in age order. Operand readiness changes only in complete,
+	// rename and squash, never during this walk, so the ready set is exact:
+	// the walk visits, in the same order and with the same intermediate
+	// state, exactly the entries a full-window poll would have found ready.
+	for _, sp := range windowSpans(m.alHead, m.alCnt, n) {
 		lo, hi := sp[0], sp[1]
-		if lo >= hi {
-			continue
-		}
-		for w := lo >> 6; w <= (hi-1)>>6; w++ {
-			word := m.iqBits[w]
-			base := w << 6
-			if base < lo {
-				word &= ^uint64(0) << uint(lo-base)
-			}
-			if base+64 > hi {
-				word &= 1<<uint(hi-base) - 1
-			}
+		for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
+			word := spanWord(m.iqBits[w]&m.readyBits[w], w, lo, hi)
 			for word != 0 {
-				phys := base + bits.TrailingZeros64(word)
+				phys := w<<6 + bits.TrailingZeros64(word)
 				word &= word - 1
 				e := &m.al[phys]
-				idx := phys - m.alHead // window offset (disambiguation scans)
-				if idx < 0 {
-					idx += n
-				}
-				if !m.ready(e, idx) {
+				if !m.ready(e, phys) {
 					continue
 				}
 				m.progressed = true // execute always mutates (issue, defer, or squash)
-				squashed := m.execute(e, idx)
+				squashed := m.execute(e, ringOffset(phys, m.alHead, n))
 				if e.st != stWaiting { // actually issued (not deferred to head)
 					issued++
 					m.Stats.IssuedN++
 				} else {
 					// Deferred to the AL head: drop it from the walk; the
 					// retire stage replays it (markIssued re-clears the bit).
-					m.iqClearBit(phys)
+					m.iqBits.clear(phys)
 				}
 				if squashed {
 					// A resolving store found a memory-order violation and
@@ -350,13 +342,12 @@ func (m *Machine) issueStage() {
 	}
 }
 
-func (m *Machine) ready(e *alEntry, idx int) bool {
-	if e.physRs1 != noReg && !m.prfReady[e.physRs1] {
-		return false
-	}
-	if e.physRs2 != noReg && !m.prfReady[e.physRs2] {
-		return false
-	}
+// ready applies the issue conditions other than operand readiness (which
+// readyBits already encodes) to the waiting entry in slot phys. They are
+// evaluated at walk time because an entry issued earlier in the same walk
+// can change them: an executed WRPKRU raises the highwater, and a store
+// that resolves its address clears its unresolved bit.
+func (m *Machine) ready(e *alEntry, phys int) bool {
 	// All memory instructions and WRPKRU wait for every older WRPKRU to
 	// have executed (SpecMPK design principle 2; enforced in real hardware
 	// via the renamed PKRU source operand).
@@ -371,17 +362,12 @@ func (m *Machine) ready(e *alEntry, idx int) bool {
 		if m.Cfg.MemDepSpeculation && !m.violators[e.pc] {
 			return true
 		}
-		if m.sqUnresolved == 0 {
-			// No in-flight store has an unknown address; the scan below
-			// could not find one.
-			return true
+		// Any unresolved store in the older part of the window, [alHead,
+		// phys) on the ring?
+		if phys >= m.alHead {
+			return !m.unresolvedBits.anyIn(m.alHead, phys)
 		}
-		for j := 0; j < idx; j++ {
-			s := m.alAt(j)
-			if s.isStore && !s.addrReady && s.fault == nil {
-				return false
-			}
-		}
+		return !m.unresolvedBits.anyIn(m.alHead, len(m.al)) && !m.unresolvedBits.anyIn(0, phys)
 	}
 	return true
 }
@@ -712,7 +698,7 @@ func (m *Machine) storeExecute(e *alEntry, rs1, rs2 uint64) {
 	e.vaddr = rs1 + uint64(e.in.Imm)
 	e.storeData = rs2
 	e.addrReady = true
-	m.sqUnresolved-- // address now known (re-withheld below if suspect)
+	m.unresolvedBits.clear(int(e.alIdx)) // address now known (re-withheld below if suspect)
 	lat := 1
 	vpn := e.vaddr >> mem.PageBits
 
@@ -778,7 +764,7 @@ func (m *Machine) storeExecute(e *alEntry, rs1, rs2 uint64) {
 		// Ablation: the suspect store withholds its address until it
 		// is non-squashable (see Config.StallSuspectStores).
 		e.addrReady = false
-		m.sqUnresolved++
+		m.unresolvedBits.set(int(e.alIdx))
 		e.stallTillHead = true
 		return
 	}
@@ -795,44 +781,62 @@ func (m *Machine) completeStage() {
 	if m.cycle < m.nextDone {
 		return // nothing issued can complete yet
 	}
-	// Walk until every issued entry has been seen, recomputing the
-	// completion horizon from the ones still pending.
+	// Walk the issued entries oldest first — a resolving branch squashes
+	// everything younger, so age order matters — recomputing the completion
+	// horizon from the ones still pending.
 	next := noDone
-	remaining := m.issuedCnt
-	for i := 0; i < m.alCnt && remaining > 0; i++ {
-		e := m.alAt(i)
-		if e.st != stIssued {
-			continue
-		}
-		remaining--
-		if e.done > m.cycle {
-			if e.done < next {
-				next = e.done
-			}
-			continue
-		}
-		m.progressed = true
-		e.st = stDone
-		m.issuedCnt--
-		if e.newPhys != noReg {
-			// Faulting producers also wake dependents: the value is
-			// garbage but never commits — either an older branch squashes
-			// the region or the fault terminates at retire before any
-			// dependent commits. Without the wakeup, dependents of a
-			// wrong-path faulting load would wedge the issue queue.
-			m.prfReady[e.newPhys] = true
-		}
-		switch {
-		case e.in.Op == isa.OpWrpkru:
-			// Open the audit ledger's transient-upgrade windows against the
-			// still-committed ARF before the policy delivers the value.
-			m.auditUpgradeOpen(e)
-			m.policy.WrpkruExecute(m, e)
-		case e.in.Op.IsControl():
-			if m.resolveControl(e, i) {
-				// Squashed everything younger; stop scanning. squashAfter
-				// reset nextDone, forcing a full recompute next cycle.
-				return
+	n := len(m.al)
+	for _, sp := range windowSpans(m.alHead, m.alCnt, n) {
+		lo, hi := sp[0], sp[1]
+		for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
+			word := spanWord(m.issuedBits[w], w, lo, hi)
+			for word != 0 {
+				phys := w<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				e := &m.al[phys]
+				if e.done > m.cycle {
+					if e.done < next {
+						next = e.done
+					}
+					continue
+				}
+				m.progressed = true
+				e.st = stDone
+				m.issuedBits.clear(phys)
+				if p := e.newPhys; p != noReg {
+					// Faulting producers also wake dependents: the value is
+					// garbage but never commits — either an older branch
+					// squashes the region or the fault terminates at retire
+					// before any dependent commits. Without the wakeup,
+					// dependents of a wrong-path faulting load would wedge
+					// the issue queue.
+					m.prfReady[p] = true
+					for l := m.consHead[p]; l != noLink; {
+						c := &m.al[l>>1]
+						nextLink := c.wakeNext[l&1]
+						c.pending--
+						if c.pending == 0 {
+							m.readyBits.set(int(l >> 1))
+						}
+						l = nextLink
+					}
+					m.consHead[p] = noLink
+				}
+				switch {
+				case e.in.Op == isa.OpWrpkru:
+					// Open the audit ledger's transient-upgrade windows
+					// against the still-committed ARF before the policy
+					// delivers the value.
+					m.auditUpgradeOpen(e)
+					m.policy.WrpkruExecute(m, e)
+				case e.in.Op.IsControl():
+					if m.resolveControl(e, ringOffset(phys, m.alHead, n)) {
+						// Squashed everything younger; stop walking.
+						// squashAfter reset nextDone, forcing a full
+						// recompute next cycle.
+						return
+					}
+				}
 			}
 		}
 	}
@@ -893,16 +897,27 @@ func (m *Machine) squashAfter(idx int, why string) {
 	m.recoverUntil = m.cycle + uint64(m.Cfg.FrontendDepth) + 1
 	for j := m.alCnt - 1; j > idx; j-- {
 		e := m.alAt(j)
+		slot := int(e.alIdx)
 		switch e.st {
 		case stWaiting:
 			m.iqCnt--
-			m.iqClearBit(int(e.alIdx))
+			m.iqBits.clear(slot)
+			// Unlink from the producers' consumer lists. Lists run
+			// youngest first and this walk squashes youngest first, so the
+			// entry heads every list it is still on (source 1 was linked
+			// after source 0, so it comes off first).
+			if e.pending > 0 {
+				if p := e.physRs2; p != noReg && !m.prfReady[p] {
+					m.consHead[p] = e.wakeNext[1]
+				}
+				if p := e.physRs1; p != noReg && !m.prfReady[p] {
+					m.consHead[p] = e.wakeNext[0]
+				}
+			}
 		case stIssued:
-			m.issuedCnt--
+			m.issuedBits.clear(slot)
 		}
-		if e.isStore && !e.addrReady && e.fault == nil {
-			m.sqUnresolved--
-		}
+		m.unresolvedBits.clear(slot)
 		if e.newPhys != noReg {
 			m.freeList = append(m.freeList, e.newPhys)
 			m.prfReady[e.newPhys] = false
@@ -1078,8 +1093,8 @@ func (m *Machine) reissueStoreAtHead(e *alEntry) {
 	e.stallTillHead = false
 	e.issueCyc = m.cycle
 	// The withheld address resolves now — either published below or the
-	// entry faults; both leave the disambiguation scan nothing to find.
-	m.sqUnresolved--
+	// entry faults; both leave the disambiguation test nothing to find.
+	m.unresolvedBits.clear(int(e.alIdx))
 	m.emit(trace.Event{Kind: trace.KindHeadReplay, Seq: e.seq, PC: e.pc, Note: "store"})
 	paddr, pte, err := m.AS.Translate(e.vaddr, mem.Write)
 	if err != nil {

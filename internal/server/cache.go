@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"compress/lzw"
 	"container/list"
+	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -87,16 +91,61 @@ func (c *lru[K, V]) len() int {
 	return c.order.Len()
 }
 
-// resultCache is the content-addressed result store: canonical result bytes
-// keyed by the job spec's api.JobSpec.Key hash. Results are a few tens of KB
-// of canonical JSON, so a few hundred entries cover a full
+// packedResult is a finished result's canonical JSON, LZW-compressed. The
+// result cache and every retained job record hold results this way: a
+// full-run result packs from 4.25 KB (a 4.75 KB allocation) to about
+// 2.3 KB, and a daemon retains up to RetainJobs finished jobs. LZW rather
+// than flate because its coder state is 64 KB instead of over 1 MB, which
+// would cost more than it saves at a few hundred retained results. raw
+// restores the canonical bytes exactly, so everything served stays
+// bit-identical.
+type packedResult []byte
+
+// packResult compresses canonical result bytes (nil stays nil).
+func packResult(raw []byte) packedResult {
+	if raw == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	buf.Grow(len(raw) / 2)
+	w := lzw.NewWriter(&buf, lzw.LSB, 8)
+	_, _ = w.Write(raw) // writes to a bytes.Buffer cannot fail
+	_ = w.Close()
+	return packedResult(bytes.Clone(buf.Bytes()))
+}
+
+// lzwReaders recycles decoders: every job reply and cache probe unpacks a
+// result, and a fresh decoder is a 20 KB allocation.
+var lzwReaders = sync.Pool{New: func() any { return lzw.NewReader(nil, lzw.LSB, 8) }}
+
+// raw returns the canonical result bytes (nil for a nil result).
+func (p packedResult) raw() []byte {
+	if p == nil {
+		return nil
+	}
+	r := lzwReaders.Get().(*lzw.Reader)
+	r.Reset(bytes.NewReader(p), lzw.LSB, 8)
+	defer lzwReaders.Put(r)
+	var buf bytes.Buffer
+	buf.Grow(3 * len(p))
+	if _, err := io.Copy(&buf, r); err != nil {
+		// packResult produced these bytes in this process; only a bug can
+		// make them unreadable.
+		panic(fmt.Sprintf("server: corrupt packed result: %v", err))
+	}
+	return buf.Bytes()
+}
+
+// resultCache is the content-addressed result store: packed canonical
+// result bytes keyed by the job spec's api.JobSpec.Key hash. Results are a
+// few KB of canonical JSON, so a few hundred entries cover a full
 // policy×workload×config sweep.
 //
 // Because the key already folds in the simulator version and every default,
 // a hit can be returned verbatim: it is bit-identical to what re-running the
 // job would produce.
 type resultCache struct {
-	*lru[string, []byte]
+	*lru[string, packedResult]
 	// peerLookups/peerHits count GET /v1/cache/{key} probes from cluster
 	// peers — kept apart from hits/misses so the local submit path's cache
 	// statistics stay meaningful under cluster traffic.
@@ -104,15 +153,15 @@ type resultCache struct {
 }
 
 func newResultCache(max int) *resultCache {
-	return &resultCache{lru: newLRU[string, []byte](max)}
+	return &resultCache{lru: newLRU[string, packedResult](max)}
 }
 
-// get returns the cached canonical bytes for key, counting the hit or miss.
+// get returns the cached result for key, counting the hit or miss.
 // An injected fault at server.cache.get degrades to a miss — a flaky cache
 // must cost a re-simulation, never a failed request — and is recorded as an
 // event on the submit path's cache.lookup span (nil-safe) so a chaos run's
 // forced misses are reconstructable per request.
-func (c *resultCache) get(key string, sp *otrace.Span) ([]byte, bool) {
+func (c *resultCache) get(key string, sp *otrace.Span) (packedResult, bool) {
 	if err := fpCacheGet.Fire(); err != nil {
 		sp.Event("fault_injected", "point", fpCacheGet.Name(), "error", err.Error())
 		c.misses.Add(1)
@@ -121,12 +170,12 @@ func (c *resultCache) get(key string, sp *otrace.Span) ([]byte, bool) {
 	return c.lru.get(key)
 }
 
-// peek answers a cluster peer's cache probe: the cached canonical bytes for
-// key without counting into the submit path's hit/miss statistics and
+// peek answers a cluster peer's cache probe: the cached result for key
+// without counting into the submit path's hit/miss statistics and
 // without firing the server.cache.get fault point (the peer's own
 // cluster.peer.lookup seam covers injection on that path). A hit refreshes
 // recency — a result other nodes keep asking for is worth keeping.
-func (c *resultCache) peek(key string) ([]byte, bool) {
+func (c *resultCache) peek(key string) (packedResult, bool) {
 	c.peerLookups.Add(1)
 	b, ok := c.lru.peek(key)
 	if ok {
@@ -135,11 +184,11 @@ func (c *resultCache) peek(key string) ([]byte, bool) {
 	return b, ok
 }
 
-// put stores the canonical bytes for key. An injected fault at
+// put stores the result for key. An injected fault at
 // server.cache.put skips the fill: the job still succeeds, the next
 // identical spec just re-simulates. The returned disposition string is what
 // the job span carries as its "cache" attribute.
-func (c *resultCache) put(key string, b []byte) string {
+func (c *resultCache) put(key string, b packedResult) string {
 	switch {
 	case fpCachePut.Fire() != nil:
 		return "skipped_fault"

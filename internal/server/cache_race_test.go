@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -287,4 +289,50 @@ func TestCancelledJobNeverPoisonsCache(t *testing.T) {
 	if n := s.cache.len(); n != 0 {
 		t.Fatalf("cache holds %d entries after a lone cancelled job", n)
 	}
+}
+
+// TestCachePackedResultRoundTrip pins the packed result store: packing a
+// real canonical result and unpacking it gives back the exact bytes in
+// well under the raw size, nil stays nil, and packing is safe from many
+// goroutines at once (run under -race by make chaos).
+func TestCachePackedResultRoundTrip(t *testing.T) {
+	if packResult(nil) != nil || packedResult(nil).raw() != nil {
+		t.Fatal("nil result did not stay nil")
+	}
+	s := newTestServer(t, Options{Workers: 1})
+	info, err := s.Submit(api.JobSpec{Workload: "548.exchange2_r", Mode: "specmpk", MaxCycles: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := waitJob(t, s, info.ID).Result
+	if len(raw) == 0 {
+		t.Fatal("job produced no result")
+	}
+	p := packResult(raw)
+	if !bytes.Equal(p.raw(), raw) {
+		t.Fatal("packed result does not unpack to the canonical bytes")
+	}
+	if 3*len(p) > 2*len(raw) {
+		t.Fatalf("packed result is %d bytes for %d raw, want at most two thirds", len(p), len(raw))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 100; i++ {
+				b := make([]byte, rng.Intn(8192))
+				for j := range b {
+					b[j] = byte(rng.Intn(256))
+				}
+				if got := packResult(b).raw(); !bytes.Equal(got, b) {
+					t.Errorf("goroutine %d: round trip of %d bytes changed them", g, len(b))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -334,7 +334,7 @@ func TestChaosEverySeamNoJobLost(t *testing.T) {
 			continue // never completed cleanly under chaos: fine
 		}
 		fresh := rerunWithoutCache(t, spec)
-		if string(cached) != string(fresh) {
+		if string(cached.raw()) != string(fresh) {
 			t.Fatalf("cache entry for spec %d differs from a clean rerun — poisoned by a faulted run", i)
 		}
 	}

@@ -146,12 +146,14 @@ type httpError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers every endpoint in compact JSON. A job reply's embedded
+// Result is then the canonical result bytes verbatim — what the cache holds
+// and what a cluster peer forwards — rather than an indented copy half as
+// large again that every client would have to hold.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -293,7 +295,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
+	_, _ = w.Write(b.raw())
 }
 
 // handleHealthz answers the liveness probe with a diagnostic payload:

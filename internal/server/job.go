@@ -22,8 +22,17 @@ type execution struct {
 	// onward (loop prevention). Set before the execution enters the queue.
 	forwarded bool
 
+	// ctx is cancelled by Cancel, by a shutdown deadline, and by publish
+	// once the outcome is visible: every execution's context leaves the
+	// server's base context when it ends, instead of staying registered
+	// there for the daemon's lifetime.
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// jobs are the jobs attached to this execution: the primary job and
+	// every deduped one. Guarded by Server.mu; onExecutionDone retires them
+	// and drops the list.
+	jobs []*job
 
 	// queuedAt is when the execution entered the queue (construction time);
 	// immutable, so readable without the mutex. started - queuedAt is the
@@ -51,11 +60,12 @@ type execution struct {
 	mu       sync.Mutex
 	state    string
 	errMsg   string
-	result   []byte // canonical result JSON, set when state == done
+	result   packedResult // canonical result JSON, set when state == done
 	started  time.Time
 	finished time.Time
 
-	// Event stream: a bounded replay buffer plus live subscribers. A late
+	// Event stream: a bounded replay buffer plus live subscribers (nil
+	// until the first subscribes, and again once terminal). A late
 	// subscriber first receives the buffered prefix, then live events.
 	events []api.Event
 	subs   map[chan api.Event]struct{}
@@ -70,7 +80,7 @@ type execution struct {
 // outcome is an execution's terminal result.
 type outcome struct {
 	state, errMsg string
-	result        []byte
+	result        packedResult
 	cycle, insts  uint64
 }
 
@@ -88,13 +98,12 @@ func newExecution(parent context.Context, key string, spec api.JobSpec) *executi
 		cancel:   cancel,
 		queuedAt: time.Now(),
 		state:    api.StateQueued,
-		subs:     make(map[chan api.Event]struct{}),
 	}
 }
 
 // resolvedExecution builds an already-terminal execution — the cache-hit
 // path, where the result exists before any worker is involved.
-func resolvedExecution(key string, spec api.JobSpec, result []byte) *execution {
+func resolvedExecution(key string, spec api.JobSpec, result packedResult) *execution {
 	ex := newExecution(context.Background(), key, spec)
 	ex.cancel()
 	ex.state = api.StateDone
@@ -105,8 +114,9 @@ func resolvedExecution(key string, spec api.JobSpec, result []byte) *execution {
 	return ex
 }
 
-// snapshot returns the execution's externally visible state.
-func (ex *execution) snapshot() (state, errMsg string, result []byte, started, finished time.Time) {
+// snapshot returns the execution's externally visible state. The result
+// stays packed: callers unpack it after the lock is released.
+func (ex *execution) snapshot() (state, errMsg string, result packedResult, started, finished time.Time) {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	return ex.state, ex.errMsg, ex.result, ex.started, ex.finished
@@ -160,8 +170,9 @@ func (ex *execution) terminal() (state, errMsg string) {
 }
 
 // publish makes the resolved outcome visible: it sets the terminal state,
-// publishes the final event and closes every subscriber. Idempotent, so the
-// worker pool's panic path can call it whether or not publishing happened.
+// publishes the final event, closes every subscriber and cancels the
+// execution's context. Idempotent, so the worker pool's panic path can call
+// it whether or not publishing happened.
 func (ex *execution) publish() {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
@@ -174,10 +185,13 @@ func (ex *execution) publish() {
 	ex.result = o.result
 	ex.finished = time.Now()
 	ex.publishLocked(api.Event{State: o.state, Cycle: o.cycle, Insts: o.insts, Final: true})
+	// Nothing runs under the context any more; cancelling it before the
+	// subscribers close means a waiter that sees the close sees it ended.
+	ex.cancel()
 	for ch := range ex.subs {
 		close(ch)
-		delete(ex.subs, ch)
 	}
+	ex.subs = nil // subscribe replays and closes on a terminal execution
 }
 
 // publishLocked appends to the replay buffer and fans out to subscribers.
@@ -212,6 +226,9 @@ func (ex *execution) subscribe() (<-chan api.Event, func()) {
 	if api.Terminal(ex.state) {
 		close(ch)
 		return ch, func() {}
+	}
+	if ex.subs == nil {
+		ex.subs = make(map[chan api.Event]struct{})
 	}
 	ex.subs[ch] = struct{}{}
 	return ch, func() {
@@ -251,6 +268,10 @@ type job struct {
 	deduped   bool
 	submitted time.Time
 	exec      *execution
+	// retired marks the job as counted into the retention window and its
+	// span closed (guarded by Server.mu), so the panic path's second
+	// onExecutionDone cannot retire it twice.
+	retired bool
 
 	// traceID is the job's request trace (hex, "" when untraced); span is
 	// the job's root span, open from submit to terminal state (nil when the
@@ -259,7 +280,8 @@ type job struct {
 	span    *otrace.Span
 }
 
-// info renders the job's current JobInfo.
+// info renders the job's current JobInfo. It unpacks the result, so call
+// it with no lock held.
 func (j *job) info() api.JobInfo {
 	state, errMsg, result, started, finished := j.exec.snapshot()
 	inf := api.JobInfo{
@@ -271,7 +293,7 @@ func (j *job) info() api.JobInfo {
 		Deduped:     j.deduped,
 		Error:       errMsg,
 		SubmittedAt: j.submitted,
-		Result:      result,
+		Result:      result.raw(),
 	}
 	if !started.IsZero() {
 		inf.StartedAt = &started

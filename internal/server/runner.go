@@ -67,7 +67,8 @@ func (s *Server) runExecution(ex *execution) {
 		ex.simSpan.SetError(errMsg)
 	}
 	ex.simSpan.EndAt(t0.Add(simDur))
-	if !ex.resolve(outcome{state, errMsg, result, cycle, insts}) {
+	packed := packResult(result)
+	if !ex.resolve(outcome{state, errMsg, packed, cycle, insts}) {
 		return // lost the race with Cancel; it does the bookkeeping
 	}
 	s.wallMSTotal.Add(uint64(simDur.Milliseconds()))
@@ -77,7 +78,7 @@ func (s *Server) runExecution(ex *execution) {
 		// Only a clean, deterministic completion reaches the cache: failed
 		// (including deadline-exceeded and panicking) and cancelled runs
 		// never produce result bytes, so they can never poison it.
-		ex.setTrace("", s.cache.put(ex.key, result))
+		ex.setTrace("", s.cache.put(ex.key, packed))
 	case api.StateFailed:
 		s.jobsFailed.Add(1)
 		ex.setTrace("", "uncacheable")

@@ -332,7 +332,6 @@ func (s *Server) SubmitTraced(parent otrace.SpanContext, spec api.JobSpec) (api.
 // SubmitWith is SubmitTraced with the full submission context — see
 // SubmitOpts for the cluster-coordination markers.
 func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, error) {
-	parent := opts.Parent
 	norm, err := spec.Normalize()
 	if err != nil {
 		return api.JobInfo{}, err
@@ -356,11 +355,25 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 		return api.JobInfo{}, ErrUnavailable{Reason: ferr.Error()}
 	}
 
+	j, err := s.admit(opts, key, norm)
+	if err != nil {
+		return api.JobInfo{}, err
+	}
+	// The reply unpacks a cached result, so it is rendered only once admit
+	// has released the server lock.
+	return j.info(), nil
+}
+
+// admit registers one submission under the server lock: a cache hit becomes
+// an already-done job, a spec already in flight attaches to that execution
+// (single-flight), anything else enqueues a fresh execution.
+func (s *Server) admit(opts SubmitOpts, key string, norm api.JobSpec) (*job, error) {
+	parent := opts.Parent
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		s.rejected.Add(1)
-		return api.JobInfo{}, ErrUnavailable{Reason: "draining"}
+		return nil, ErrUnavailable{Reason: "draining"}
 	}
 
 	s.nextID++
@@ -398,6 +411,7 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 	if hit {
 		j.cached = true
 		j.exec = resolvedExecution(key, norm, b)
+		j.retired = true
 		s.registerLocked(j)
 		s.retireLocked(j.id)
 		e2e := time.Since(j.submitted)
@@ -406,11 +420,12 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 		j.span.SetAttr("cached", true)
 		j.span.SetAttr("cache", "hit")
 		j.span.EndAt(j.submitted.Add(e2e))
-		return j.info(), nil
+		return j, nil
 	}
 	if ex, ok := s.inflight[key]; ok {
 		j.deduped = true
 		j.exec = ex
+		ex.jobs = append(ex.jobs, j)
 		s.deduped.Add(1)
 		s.registerLocked(j)
 		j.span.SetAttr("deduped", true)
@@ -419,7 +434,7 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 			// link this trace to it so the dedup is reconstructable.
 			j.span.SetAttr("primary_trace", ex.sc.Trace.String())
 		}
-		return j.info(), nil
+		return j, nil
 	}
 
 	ex := newExecution(s.baseCtx, key, norm)
@@ -433,12 +448,13 @@ func (s *Server) SubmitWith(opts SubmitOpts, spec api.JobSpec) (api.JobInfo, err
 	default:
 		ex.cancel()
 		s.rejected.Add(1)
-		return api.JobInfo{}, ErrUnavailable{Reason: "queue full"}
+		return nil, ErrUnavailable{Reason: "queue full"}
 	}
 	j.exec = ex
+	ex.jobs = append(ex.jobs, j)
 	s.inflight[key] = ex
 	s.registerLocked(j)
-	return j.info(), nil
+	return j, nil
 }
 
 func (s *Server) registerLocked(j *job) {
@@ -504,7 +520,8 @@ func (s *Server) Subscribe(id string) (<-chan api.Event, func(), bool) {
 // onExecutionDone clears the single-flight slot and retires the execution's
 // attached jobs into the retention window, closing each job's root span with
 // its resolved terminal state and emitting one structured log line per job.
-// It runs between resolve and publish.
+// It runs between resolve and publish, and touches only this execution's
+// own jobs, not every retained one.
 func (s *Server) onExecutionDone(ex *execution) {
 	state, errMsg := ex.terminal()
 	stopReason, cacheDisp := ex.traceInfo()
@@ -513,44 +530,37 @@ func (s *Server) onExecutionDone(ex *execution) {
 	if s.inflight[ex.key] == ex {
 		delete(s.inflight, ex.key)
 	}
-	for id, j := range s.jobs {
-		if j.exec == ex {
-			alreadyRetired := false
-			for _, fid := range s.finished {
-				if fid == id {
-					alreadyRetired = true
-					break
-				}
-			}
-			if !alreadyRetired {
-				s.retireLocked(id)
-				// One observation per job, guarded by the retire check (the
-				// panic path can reach here twice for one execution).
-				wait := time.Since(j.submitted)
-				s.lat.e2e.Observe(ms(wait))
-				if j.deduped {
-					s.lat.dedupWait.Observe(ms(wait))
-					dsp := s.rec.StartSpanAt(j.span.Context(), "dedup.wait", j.submitted)
-					dsp.EndAt(j.submitted.Add(wait))
-				}
-				j.span.SetAttr("state", state)
-				if stopReason != "" {
-					j.span.SetAttr("stop_reason", stopReason)
-				}
-				if cacheDisp != "" {
-					j.span.SetAttr("cache", cacheDisp)
-				}
-				if errMsg != "" {
-					j.span.SetError(errMsg)
-				}
-				j.span.EndAt(j.submitted.Add(wait))
-				s.logger.Debug("job finished",
-					"job_id", id, "trace_id", j.traceID, "key", j.key,
-					"state", state, "stop_reason", stopReason,
-					"deduped", j.deduped, "e2e_ms", ms(wait))
-			}
+	for _, j := range ex.jobs {
+		if j.retired {
+			continue // the panic path can reach here twice for one execution
 		}
+		j.retired = true
+		s.retireLocked(j.id)
+		wait := time.Since(j.submitted)
+		s.lat.e2e.Observe(ms(wait))
+		if j.deduped {
+			s.lat.dedupWait.Observe(ms(wait))
+			dsp := s.rec.StartSpanAt(j.span.Context(), "dedup.wait", j.submitted)
+			dsp.EndAt(j.submitted.Add(wait))
+		}
+		j.span.SetAttr("state", state)
+		if stopReason != "" {
+			j.span.SetAttr("stop_reason", stopReason)
+		}
+		if cacheDisp != "" {
+			j.span.SetAttr("cache", cacheDisp)
+		}
+		if errMsg != "" {
+			j.span.SetError(errMsg)
+		}
+		j.span.EndAt(j.submitted.Add(wait))
+		s.logger.Debug("job finished",
+			"job_id", j.id, "trace_id", j.traceID, "key", j.key,
+			"state", state, "stop_reason", stopReason,
+			"deduped", j.deduped, "e2e_ms", ms(wait))
 	}
+	// The single-flight slot is gone, so no job can attach any more.
+	ex.jobs = nil
 }
 
 // worker serves the job queue and, between jobs, steals sampled jobs'

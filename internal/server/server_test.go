@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"specmpk/internal/faults"
 	"specmpk/internal/server/api"
 )
 
@@ -217,6 +218,118 @@ func TestSingleFlightDedup(t *testing.T) {
 		t.Fatalf("executions done = %d, want <= 2 (single flight)", got)
 	}
 	waitJob(t, s, blocker.ID)
+}
+
+// retiredCount returns how many times job id sits in the retention window.
+func retiredCount(s *Server, id string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, fid := range s.finished {
+		if fid == id {
+			n++
+		}
+	}
+	return n
+}
+
+// checkTornDown asserts a finished job's execution released everything it
+// held: its context is cancelled (so it left the server's base context),
+// its subscriber map and attached-job list are dropped, and the job sits in
+// the retention window exactly once.
+func checkTornDown(t *testing.T, s *Server, id string) {
+	t.Helper()
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		t.Fatalf("job %s not retained", id)
+	}
+	if j.exec.ctx.Err() == nil {
+		t.Errorf("job %s: execution context still live after the job finished", id)
+	}
+	j.exec.mu.Lock()
+	subs := j.exec.subs
+	j.exec.mu.Unlock()
+	s.mu.Lock()
+	attached := j.exec.jobs
+	s.mu.Unlock()
+	if subs != nil || attached != nil {
+		t.Errorf("job %s: execution still holds subscribers (%v) or attached jobs (%d)", id, subs != nil, len(attached))
+	}
+	if n := retiredCount(s, id); n != 1 {
+		t.Errorf("job %s retired %d times, want 1", id, n)
+	}
+}
+
+// TestExecutionTeardown pins the end of an execution's life: once a job is
+// done its execution's context is cancelled, and a primary job and its
+// deduped twin each retire exactly once.
+func TestExecutionTeardown(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueSize: 16, EventInterval: 1000})
+	blocker, err := s.Submit(uniqueSpec(2000, 100_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := spinSpec(10_000)
+	a, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Deduped {
+		t.Fatal("identical queued submit did not dedup")
+	}
+	for _, id := range []string{blocker.ID, a.ID, b.ID} {
+		if info := waitJob(t, s, id); info.State != api.StateDone {
+			t.Fatalf("job %s ended %s, want done", id, info.State)
+		}
+		checkTornDown(t, s, id)
+	}
+	// A cache hit resolves at submit and retires once too.
+	hit, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Fatal("resubmit missed the cache")
+	}
+	checkTornDown(t, s, hit.ID)
+}
+
+// TestChaosBookkeepingPanicRetiresEachJobOnce drives the worker pool's panic
+// path: a panic in the cache fill, after the outcome is resolved, still
+// retires the primary job and its deduped twin exactly once and tears the
+// execution down.
+func TestChaosBookkeepingPanicRetiresEachJobOnce(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueSize: 16, EventInterval: 1000})
+	armPlan(t, faults.Plan{Rules: []faults.Rule{
+		{Point: "server.cache.put", Action: faults.ActionPanic, Times: 1, Message: "bookkeeping-panic"},
+	}})
+	spec := spinSpec(100_000)
+	a, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !b.Deduped {
+		t.Fatal("identical in-flight submit did not dedup")
+	}
+	for _, id := range []string{a.ID, b.ID} {
+		if info := waitJob(t, s, id); info.State != api.StateDone {
+			t.Fatalf("job %s ended %s, want done (resolved before the panic)", id, info.State)
+		}
+		checkTornDown(t, s, id)
+	}
+	if got := s.panicsRecovered.Load(); got != 1 {
+		t.Fatalf("panics_recovered = %d, want 1", got)
+	}
 }
 
 // TestConcurrentSubmitters hammers one server with 64 concurrent clients
@@ -453,6 +566,11 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 	if final.State != api.StateDone || len(final.Result) == 0 {
 		t.Fatalf("final job %+v", final)
+	}
+	// The reply embeds the stored canonical result verbatim, not a
+	// re-indented copy.
+	if stored, ok := s.cache.peek(final.Key); !ok || !bytes.Equal(final.Result, stored.raw()) {
+		t.Fatalf("job reply result is not the cached canonical bytes (cached %v)", ok)
 	}
 
 	// Identical resubmit: cache hit, bit-identical result.

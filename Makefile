@@ -1,7 +1,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test test-perfbench vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core fuzz-smoke profile-artifact perf perf-diff check clean
+.PHONY: all build test test-perfbench vet lint race race-core race-server chaos chaos-cluster e2e-smoke e2e-cluster bench bench-core fuzz-smoke profile-artifact bench-smoke check clean
 
 all: check
 
@@ -95,37 +95,28 @@ bench-core:
 	$(GO) test -bench='MachineStep|MachineRun|New' -benchmem -run=^$$ \
 		./internal/pipeline
 
-# Meta-benchmark: capture simulator + service throughput into
-# BENCH_$(PERF_LABEL).json (schema specmpk-bench/1). PERF_FLAGS defaults to a
-# time-boxed smoke sized for CI; override with PERF_FLAGS= for the full
-# default budgets when refreshing BENCH_baseline.json. GOMAXPROCS is pinned
-# to 1, as in every committed capture: perfdiff refuses captures whose
-# GOMAXPROCS differ.
-PERF_LABEL ?= local
-PERF_THRESHOLD ?= 50
-PERF_FLAGS ?= -perf-budget 200000 -perf-jobs 8 -perf-job-cycles 50000
-perf:
-	GOMAXPROCS=1 $(GO) run ./cmd/specmpk-bench -label $(PERF_LABEL) $(PERF_FLAGS) perf
-
-# Diff the latest capture against PERF_BASE; exits non-zero when any metric
-# regressed beyond PERF_THRESHOLD percent, or when the two captures differ
-# in simulator version, cycle budget, service job count or GOMAXPROCS.
-# BENCH_baseline.json predates specmpk-sim/2; BENCH_sim2.json is the
-# reference for captures of the current simulator at the PERF_FLAGS knobs.
-PERF_BASE ?= BENCH_baseline.json
-perf-diff:
-	$(GO) run ./cmd/specmpk-bench -threshold $(PERF_THRESHOLD) \
-		perfdiff $(PERF_BASE) BENCH_$(PERF_LABEL).json
+# The repository benchmark (perfbench, BENCHMARK.json) as a smoke: a short
+# run of each workload through the full service stack. perfbench's own
+# checks — funcsim instruction counts, CPI-stack sums, byte-identical
+# repeats — decide "correct"; the target fails unless the run's last line
+# reports "correct":true and "failed":0.
+bench-smoke:
+	@set -e; for w in figsweep-full service-mixed sampled-sweep; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seconds 3 | tail -n 1); \
+		echo "$$w: $$last"; \
+		case "$$last" in *'"correct":true'*) ;; *) echo "bench-smoke: $$w: not correct" >&2; exit 1;; esac; \
+		case "$$last" in *'"failed":0'[,}]*) ;; *) echo "bench-smoke: $$w: failed jobs" >&2; exit 1;; esac; \
+	done
 
 # Short fuzz pass over the assembler's parser (the repo's untrusted-input
 # surface); CI runs it on every push.
 fuzz-smoke:
 	$(GO) test -fuzz=Fuzz -fuzztime=10s -run=^$$ ./internal/asm
 
-# The tier-1 gate: what CI runs. The perf trajectory (make perf, make
-# perf-diff against BENCH_baseline.json) rides alongside without gating it.
+# The tier-1 gate: what CI runs. The benchmark smoke (make bench-smoke) and
+# the hot-path micro-benchmarks (make bench-core) run in their own CI job.
 check: build lint race
-	@echo "check passed (perf trajectory: make perf && make perf-diff)"
+	@echo "check passed (benchmark: make bench-smoke, make bench-core)"
 
 clean:
 	$(GO) clean ./...

@@ -1,9 +1,11 @@
+// Package perf holds the self-profiling hook the CLIs share: -cpuprofile and
+// -memprofile captures of the simulator process itself. The repository's
+// benchmark, which measures how fast the simulator simulates, is perfbench.
 package perf
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -49,23 +51,4 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		return errors.Join(errs...)
 	}, nil
-}
-
-// Render prints the capture as an aligned text summary: provenance first,
-// then every metric, sorted — what `specmpk-bench perf` shows next to the
-// BENCH file it writes.
-func (b *Bench) Render(w io.Writer) {
-	m := b.Meta
-	fmt.Fprintf(w, "perf capture %q  %s  %s  %s/%s  GOMAXPROCS=%d  sha=%s\n",
-		m.Label, m.CapturedAt, m.GoVersion, m.GOOS, m.GOARCH, m.GOMAXPROCS, short(m.GitSHA))
-	names := b.MetricNames()
-	nameW := 0
-	for _, n := range names {
-		if len(n) > nameW {
-			nameW = len(n)
-		}
-	}
-	for _, n := range names {
-		fmt.Fprintf(w, "%-*s %16.4g\n", nameW, n, b.Metrics[n])
-	}
 }

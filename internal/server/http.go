@@ -160,12 +160,23 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, httpError{Error: err.Error()})
 }
 
+// maxSubmitBytes bounds the body of POST /v1/jobs. A spec is a few hundred
+// bytes for a catalogue workload and a few KiB for an inline assembly
+// program, so 1 MiB is far above anything legitimate while keeping one
+// request from making the decoder buffer an unbounded body.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec api.JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, err)
 		return
 	}
 	info, err := s.SubmitWith(SubmitOpts{

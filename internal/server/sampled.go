@@ -17,14 +17,11 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"specmpk/internal/asm"
 	"specmpk/internal/pipeline"
 	"specmpk/internal/server/api"
 	"specmpk/internal/simpoint"
@@ -43,39 +40,12 @@ func (t *intervalTask) claim() bool { return t.claimed.CompareAndSwap(false, tru
 // runSampled executes one sampled-fidelity job end to end on the owning
 // worker: resolve the plan (cached), fan the intervals out, recombine, and
 // optionally audit against a full-fidelity run. It is the sampled
-// counterpart of (*Server).simulate and returns through the same contract.
-func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte, cycle, insts uint64) {
-	spec := ex.spec
-	cfg, err := spec.MachineConfig()
-	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
-	}
-	prog, err := spec.Program()
-	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
-	}
+// counterpart of (*Server).runFull.
+func (s *Server) runSampled(ex *execution, run *simRun) outcome {
+	spec, ctx, cfg, prog := ex.spec, run.ctx, run.cfg, run.prog
 	pkey, err := spec.ProfileKey()
 	if err != nil {
-		return api.StateFailed, err.Error(), nil, 0, 0
-	}
-
-	// Same wall-clock discipline as the full path: the deadline wraps the
-	// execution's cancellation context, so Cancel/drain surface as
-	// "cancelled" while expiry fails the job as "deadline".
-	ctx := ex.ctx
-	wallMS := spec.MaxWallMS
-	if wallMS == 0 {
-		wallMS = s.opt.MaxWallMS
-	}
-	if wallMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ex.ctx, time.Duration(wallMS)*time.Millisecond)
-		defer cancel()
-	}
-
-	if ferr := fpWorkerSimulate.Fire(); ferr != nil {
-		ex.simSpan.Event("fault_injected", "point", fpWorkerSimulate.Name(), "error", ferr.Error())
-		return api.StateFailed, ferr.Error(), nil, 0, 0
+		return failed(err.Error(), 0, 0)
 	}
 
 	// Profile once per program. The plan depends only on the program and the
@@ -91,7 +61,7 @@ func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte,
 	if err != nil {
 		psp.SetError(err.Error())
 		psp.EndAt(pt0.Add(pd))
-		return api.StateFailed, fmt.Sprintf("sampled profile: %v", err), nil, 0, 0
+		return failed(fmt.Sprintf("sampled profile: %v", err), 0, 0)
 	}
 	psp.SetAttr("cached", cached)
 	psp.SetAttr("points", len(plan.Points))
@@ -148,6 +118,7 @@ func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte,
 	}
 	wg.Wait()
 
+	var cycle, insts uint64
 	for i := range istats {
 		cycle += istats[i].Cycles
 		insts += istats[i].Insts
@@ -157,48 +128,31 @@ func (s *Server) runSampled(ex *execution) (state, errMsg string, result []byte,
 			continue
 		}
 		if ctx.Err() != nil {
-			return s.sampledInterrupted(ex, wallMS, cycle, insts)
+			return s.interrupted(ex, run, "during sampled run", cycle, insts)
 		}
-		return api.StateFailed,
-			fmt.Sprintf("sampled interval %d: %v", plan.Points[i].Interval.Index, ierr),
-			nil, cycle, insts
+		return failed(fmt.Sprintf("sampled interval %d: %v", plan.Points[i].Interval.Index, ierr), cycle, insts)
 	}
 
 	est, err := plan.Estimate(istats)
 	if err != nil {
-		return api.StateFailed, err.Error(), nil, cycle, insts
+		return failed(err.Error(), cycle, insts)
 	}
 
 	var audit *auditRun
 	if spec.Sampled.Audit {
-		audit, err = s.runAudit(ctx, ex, cfg, spec, prog)
+		audit, err = s.runAudit(ex, run)
 		if err != nil {
 			if ctx.Err() != nil {
-				return s.sampledInterrupted(ex, wallMS, cycle, insts)
+				return s.interrupted(ex, run, "during sampled run", cycle, insts)
 			}
-			return api.StateFailed, fmt.Sprintf("sampled audit: %v", err), nil, cycle, insts
+			return failed(fmt.Sprintf("sampled audit: %v", err), cycle, insts)
 		}
 		cycle += audit.stats.Cycles
 		insts += audit.stats.Insts
 	}
 	ex.progress(cycle, insts, est.IPC)
-	return s.buildSampledResult(ex, plan, est, istats, pkey, audit, cycle, insts)
-}
-
-// sampledInterrupted resolves a sampled run cut short by its context:
-// cancellation (Cancel, drain) versus the wall-clock deadline, mirroring the
-// full path's taxonomy — neither outcome is ever cached.
-func (s *Server) sampledInterrupted(ex *execution, wallMS, cycle, insts uint64) (state, errMsg string, result []byte, c, i uint64) {
-	if ex.ctx.Err() != nil {
-		ex.setTrace(string(pipeline.StopCancelled), "")
-		return api.StateCancelled, context.Canceled.Error(), nil, cycle, insts
-	}
-	s.jobsDeadline.Add(1)
-	ex.setTrace(string(pipeline.StopDeadline), "")
-	ex.simSpan.Event("deadline_exceeded", "wall_ms", wallMS)
-	return api.StateFailed,
-		fmt.Sprintf("deadline: wall-clock budget (%d ms) exceeded during sampled run", wallMS),
-		nil, cycle, insts
+	s.sampledJobs.Add(1)
+	return s.marshalResult(ex, buildSampledResult(spec, plan, est, istats, pkey, audit), cycle, insts)
 }
 
 // auditRun is the optional full-fidelity comparison run's outcome.
@@ -212,7 +166,7 @@ type auditRun struct {
 // and cycle-budget exhaustion are all measured outcomes (the same taxonomy
 // full jobs cache); cancellation and deadline expiry are errors for the
 // caller to map.
-func (s *Server) runAudit(ctx context.Context, ex *execution, cfg pipeline.Config, spec api.JobSpec, prog *asm.Program) (*auditRun, error) {
+func (s *Server) runAudit(ex *execution, run *simRun) (*auditRun, error) {
 	at0 := time.Now()
 	asp := s.rec.StartSpanAt(ex.simSpan.Context(), "sampled.audit", at0)
 	finish := func(err error) error {
@@ -222,15 +176,11 @@ func (s *Server) runAudit(ctx context.Context, ex *execution, cfg pipeline.Confi
 		asp.EndAt(at0.Add(time.Since(at0)))
 		return err
 	}
-	m, err := pipeline.New(cfg, prog)
+	m, err := pipeline.New(run.cfg, run.prog)
 	if err != nil {
 		return nil, finish(err)
 	}
-	budget := spec.MaxCycles
-	if budget == 0 {
-		budget = s.opt.MaxCycles
-	}
-	runErr := m.RunContext(ctx, budget)
+	runErr := m.RunContext(run.ctx, run.budget)
 	st := m.Stats
 	asp.SetAttr("cycles", st.Cycles)
 	asp.SetAttr("insts", st.Insts)
@@ -247,23 +197,14 @@ func (s *Server) runAudit(ctx context.Context, ex *execution, cfg pipeline.Confi
 	return &auditRun{stats: st, cpi: float64(st.Cycles) / float64(st.Insts)}, nil
 }
 
-// buildSampledResult marshals the extrapolation into canonical result bytes.
-// Everything inside is a pure function of the spec — estimates, weights,
-// interval measurements — so sampled results are as byte-reproducible and
-// cacheable as full ones. Deliberately absent: whether the profile came from
-// the cache (that lives in spans and server metrics; result bytes must not
-// depend on cache temperature).
-func (s *Server) buildSampledResult(ex *execution, plan *simpoint.Plan, est simpoint.Estimate, istats []pipeline.Stats, pkey string, audit *auditRun, cycle, insts uint64) (state, errMsg string, result []byte, c, i uint64) {
-	s.sampledJobs.Add(1)
-	ex.setTrace(api.StopSampled, "")
-	mt := time.Now()
-	msp := s.rec.StartSpanAt(ex.simSpan.Context(), "marshal", mt)
-	if ferr := fpResultMarshal.Fire(); ferr != nil {
-		msp.Event("fault_injected", "point", fpResultMarshal.Name(), "error", ferr.Error())
-		msp.SetError(ferr.Error())
-		msp.End()
-		return api.StateFailed, fmt.Sprintf("marshal result: %v", ferr), nil, cycle, insts
-	}
+// buildSampledResult is a sampled run's result: the extrapolation into a
+// whole-program view, the per-interval measurements behind it, and the
+// audit when one ran. Everything inside is a pure function of the spec —
+// estimates, weights, interval measurements — so sampled results are as
+// byte-reproducible and cacheable as full ones. Deliberately absent: whether
+// the profile came from the cache (that lives in spans and server metrics;
+// result bytes must not depend on cache temperature).
+func buildSampledResult(spec api.JobSpec, plan *simpoint.Plan, est simpoint.Estimate, istats []pipeline.Stats, pkey string, audit *auditRun) api.Result {
 	points := make([]api.SampledPoint, len(plan.Points))
 	for idx, pt := range plan.Points {
 		points[idx] = api.SampledPoint{
@@ -275,7 +216,7 @@ func (s *Server) buildSampledResult(ex *execution, plan *simpoint.Plan, est simp
 		}
 	}
 	sr := &api.SampledResult{
-		Params:          *ex.spec.Sampled,
+		Params:          *spec.Sampled,
 		ProfileKey:      pkey,
 		Intervals:       plan.Intervals,
 		TotalInsts:      plan.TotalInsts,
@@ -293,7 +234,7 @@ func (s *Server) buildSampledResult(ex *execution, plan *simpoint.Plan, est simp
 		"sampled.total_insts":      float64(plan.TotalInsts),
 		"sampled.intervals":        float64(plan.Intervals),
 		"sampled.points":           float64(len(plan.Points)),
-		"sampled.interval_len":     float64(ex.spec.Sampled.IntervalLen),
+		"sampled.interval_len":     float64(spec.Sampled.IntervalLen),
 	}
 	if audit != nil {
 		sr.AuditCPI = audit.cpi
@@ -302,10 +243,7 @@ func (s *Server) buildSampledResult(ex *execution, plan *simpoint.Plan, est simp
 		metrics["sampled.audit_cpi"] = audit.cpi
 		metrics["sampled.audit_err"] = sr.AuditErr
 	}
-	res := api.Result{
-		Key:        ex.key,
-		Version:    api.Version,
-		Spec:       ex.spec,
+	return api.Result{
 		StopReason: api.StopSampled,
 		// The extrapolated whole-program view: what a full run of the
 		// profiled execution is predicted to cost.
@@ -317,14 +255,4 @@ func (s *Server) buildSampledResult(ex *execution, plan *simpoint.Plan, est simp
 		Metrics: metrics,
 		Sampled: sr,
 	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		msp.SetError(err.Error())
-		msp.End()
-		return api.StateFailed, fmt.Sprintf("marshal result: %v", err), nil, cycle, insts
-	}
-	msp.SetAttr("bytes", len(b))
-	msp.SetAttr("stop_reason", api.StopSampled)
-	msp.End()
-	return api.StateDone, "", b, cycle, insts
 }

@@ -292,7 +292,8 @@ type ErrUnavailable struct{ Reason string }
 func (e ErrUnavailable) Error() string { return "server unavailable: " + e.Reason }
 
 // Submit validates and accepts one job with no propagated trace context —
-// the in-process entry point (tests, the perf harness). See SubmitTraced.
+// the in-process entry point (tests, programs embedding the server). See
+// SubmitTraced.
 func (s *Server) Submit(spec api.JobSpec) (api.JobInfo, error) {
 	return s.SubmitTraced(otrace.SpanContext{}, spec)
 }

@@ -687,3 +687,45 @@ func TestHTTPCancel(t *testing.T) {
 		t.Fatalf("state %s, want cancelled", final.State)
 	}
 }
+
+// TestHTTPSubmitBodyLimit: a submit body over maxSubmitBytes is refused with
+// 413 and the usual JSON error, before it is decoded, and the daemon goes on
+// serving — the next normal submit completes.
+func TestHTTPSubmitBodyLimit(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, EventInterval: 1000})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	huge, _ := json.Marshal(api.JobSpec{Asm: haltAsm + strings.Repeat("; pad\n", maxSubmitBytes/6+1)})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var herr httpError
+	decErr := json.NewDecoder(resp.Body).Decode(&herr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize submit status %d, want 413", resp.StatusCode)
+	}
+	if decErr != nil || herr.Error == "" {
+		t.Fatalf("oversize submit reply is not a JSON error: %+v, %v", herr, decErr)
+	}
+
+	body, _ := json.Marshal(api.JobSpec{Asm: haltAsm})
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info api.JobInfo
+	decErr = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || decErr != nil {
+		t.Fatalf("submit after oversize: status %d, %v", resp.StatusCode, decErr)
+	}
+	if info.ID != "j-000001" {
+		t.Fatalf("submit after oversize got id %s: the refused body created a job", info.ID)
+	}
+	if final := waitJob(t, s, info.ID); final.State != api.StateDone {
+		t.Fatalf("job after oversize submit ended %s, want done", final.State)
+	}
+}
